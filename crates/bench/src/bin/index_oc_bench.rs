@@ -1,4 +1,4 @@
-//! Out-of-core index-plane benchmark: monolithic vs partitioned GSA at a
+//! Out-of-core index-plane benchmark: monolithic vs prefix-bucketed GSA at a
 //! matched memory budget on a streamed (paged-store) dataset, emitting
 //! **append-mode** trajectory records to `BENCH_index_oc.json` — one JSON
 //! line per run, so successive PRs accumulate a visible history instead
@@ -15,11 +15,13 @@
 //!   1 000 000) through a `PagedStoreWriter`; peak allocation shows the
 //!   generator's memory is flat in the ORF count.
 //! * `compare` — monolithic (`GeneralizedSuffixArray` over the whole set)
-//!   vs partitioned (`PartitionedMiner` over budget-sized chunks) pair
-//!   mining on the same reads at a **matched budget**: the budget admits
-//!   the partitioned plan and refuses the monolithic reservation. The
-//!   pair sets are asserted identical; peak allocation per side comes
-//!   from this binary's counting `#[global_allocator]`.
+//!   vs partitioned (`BucketedMiner`: the encoded text resident, suffixes
+//!   ranked in budget-sized groups of prefix buckets) pair mining on the
+//!   same reads at a **matched budget**: the budget admits the bucketed
+//!   index and refuses the monolithic reservation. The two streams are
+//!   asserted identical pair for pair, order and anchors included; peak
+//!   allocation per side comes from this binary's counting
+//!   `#[global_allocator]`.
 //! * `pipeline` — the full budgeted pipeline (`run_pipeline_budgeted`)
 //!   over the paged store, under a budget smaller than the monolithic
 //!   index's estimated footprint.
@@ -39,8 +41,8 @@ use pfam_core::{run_pipeline_budgeted, PipelineConfig};
 use pfam_datagen::{generate_to_store, DatasetConfig};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore};
 use pfam_suffix::{
-    estimated_index_bytes, maximal::all_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
-    MaximalMatchConfig, PartitionedMiner, SuffixTree,
+    estimated_index_bytes, maximal::all_pairs, BucketedMiner, ChunkPlan, GeneralizedSuffixArray,
+    MatchPair, MaximalMatchConfig, SuffixTree,
 };
 
 /// Allocation-counting shim over the system allocator: `LIVE` tracks
@@ -102,10 +104,10 @@ fn peak_since(baseline_live: u64) -> u64 {
 /// in different orders. Keyed on `(a, b, len)` — `MatchPair`'s own
 /// equality fields; representative occurrence positions are
 /// enumeration-order dependent when ties exist at the maximal length.
-fn canonical(mut pairs: Vec<MatchPair>) -> Vec<(u32, u32, u32)> {
-    let mut keys: Vec<_> = pairs.drain(..).map(|p| (p.a.0, p.b.0, p.len)).collect();
-    keys.sort_unstable();
-    keys
+/// Every field of each pair, in stream order (`MatchPair::eq` ignores the
+/// anchors).
+fn full(pairs: &[MatchPair]) -> Vec<(u32, u32, u32, u32, u32)> {
+    pairs.iter().map(|p| (p.a.0, p.b.0, p.len, p.a_pos, p.b_pos)).collect()
 }
 
 fn main() {
@@ -155,7 +157,9 @@ fn main() {
     let cmp_n = store.len().min(20_000) as u32;
     let cmp_set = store.load_range(0..cmp_n);
     let cmp_bytes = estimated_index_bytes(cmp_set.total_residues(), cmp_set.len());
-    let budget_bytes = cmp_bytes / 2;
+    // The bucketed index keeps the encoded text (half the monolithic
+    // estimate) resident; the other quarter holds one group's ranks.
+    let budget_bytes = cmp_bytes * 3 / 4;
     let chunk_bytes = cmp_bytes / 6;
     let pair_config = MaximalMatchConfig { min_len: 15, max_pairs_per_node: 100_000, dedup: true };
 
@@ -172,7 +176,7 @@ fn main() {
 
     let budget = MemoryBudget::limited(budget_bytes);
     // The matched budget refuses the monolithic index up front — that
-    // refusal (a typed error, not an abort) is what forces partitioning.
+    // refusal (a typed error, not an abort) is what forces bucketing.
     let mono_fits = budget.would_fit(cmp_bytes);
     assert!(!mono_fits, "the matched budget must be smaller than the monolithic index");
     let lens: Vec<u32> = (0..cmp_n).map(|i| cmp_set.seq_len(SeqId(i)) as u32).collect();
@@ -181,17 +185,26 @@ fn main() {
     peak_reset();
     let live0 = LIVE.load(Ordering::Relaxed);
     let t0 = Instant::now();
-    let miner = PartitionedMiner::try_new(plan, |r| cmp_set.load_range(r), pair_config, 1, &budget)
-        .expect("the chunk plan fits the matched budget");
+    let miner = BucketedMiner::try_new(
+        plan,
+        |r| cmp_set.load_range(r),
+        pair_config,
+        1,
+        chunk_bytes,
+        &budget,
+    )
+    .expect("the bucketed index fits the matched budget");
+    let n_groups = miner.n_groups();
     let part_pairs: Vec<MatchPair> = miner.collect();
     let part_s = t0.elapsed().as_secs_f64();
     let part_peak = peak_since(live0);
 
-    let pairs_identical = canonical(mono_pairs.clone()) == canonical(part_pairs.clone());
-    assert!(pairs_identical, "partitioned pair set diverged from monolithic — this is a bug");
+    let pairs_identical = full(&mono_pairs) == full(&part_pairs);
+    assert!(pairs_identical, "bucketed pair stream diverged from monolithic — this is a bug");
     eprintln!(
-        "index_oc_bench: compare n={cmp_n}: {} pairs identical across {n_chunks} chunks \
-         (mono {mono_s:.2}s / {} MiB peak, part {part_s:.2}s / {} MiB peak)",
+        "index_oc_bench: compare n={cmp_n}: {} pairs identical in order, loaded in {n_chunks} \
+         chunks, ranked in {n_groups} groups (mono {mono_s:.2}s / {} MiB peak, bucketed \
+         {part_s:.2}s / {} MiB peak)",
         mono_pairs.len(),
         mono_peak >> 20,
         part_peak >> 20
@@ -199,8 +212,8 @@ fn main() {
     drop(cmp_set);
 
     // ---- Full budgeted pipeline over the paged store. ----
-    // Budget below the monolithic footprint; chunks sized so a cross-chunk
-    // task (two chunks resident) stays inside it.
+    // Budget below the monolithic footprint; groups of a quarter of it
+    // (the budget's remainder after the resident text caps them further).
     let pipe_budget = mono_bytes * 2 / 3;
     let pipe_chunk = mono_bytes / 4;
     let pipe_config =
@@ -233,7 +246,7 @@ fn main() {
             "\"monolithic_index_bytes\": {mono_bytes}, ",
             "\"datagen\": {{ \"seconds\": {dg_s:.3}, \"peak_alloc_bytes\": {dg_peak} }}, ",
             "\"compare\": {{ \"n_reads\": {cmp_n}, \"budget_bytes\": {budget_bytes}, ",
-            "\"chunk_bytes\": {chunk_bytes}, \"n_chunks\": {n_chunks}, ",
+            "\"chunk_bytes\": {chunk_bytes}, \"n_chunks\": {n_chunks}, \"n_groups\": {n_groups}, ",
             "\"monolithic_fits_budget\": {mono_fits}, \"n_pairs\": {n_pairs}, ",
             "\"pairs_identical\": {pairs_identical}, ",
             "\"monolithic\": {{ \"seconds\": {mono_s:.3}, \"peak_alloc_bytes\": {mono_peak} }}, ",
@@ -254,6 +267,7 @@ fn main() {
         budget_bytes = budget_bytes,
         chunk_bytes = chunk_bytes,
         n_chunks = n_chunks,
+        n_groups = n_groups,
         mono_fits = mono_fits,
         n_pairs = mono_pairs.len(),
         pairs_identical = pairs_identical,

@@ -45,8 +45,8 @@ use pfam_datagen::{generate_to_store, DatasetConfig, SyntheticDataset};
 use pfam_metrics::{labels_from_clusters, pair_confusion, QualityMeasures};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore};
 use pfam_suffix::{
-    estimated_index_bytes, maximal::all_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
-    MaximalMatchConfig, PartitionedMiner, SuffixTree,
+    estimated_index_bytes, maximal::all_pairs, BucketedMiner, ChunkPlan, GeneralizedSuffixArray,
+    MatchPair, MaximalMatchConfig, SuffixTree,
 };
 
 /// Allocation-counting shim over the system allocator (same shape as the
@@ -263,15 +263,24 @@ fn main() {
     drop(tree);
     drop(gsa);
 
-    let budget = MemoryBudget::limited(cmp_bytes / 2);
+    // The bucketed index keeps the encoded text (half the monolithic
+    // estimate) resident; the other quarter holds one group's ranks.
+    let budget = MemoryBudget::limited(cmp_bytes * 3 / 4);
     let lens: Vec<u32> = (0..cmp_n).map(|i| cmp_set.seq_len(SeqId(i)) as u32).collect();
     let plan = ChunkPlan::plan(&lens, cmp_bytes / 6);
     let n_chunks = plan.n_chunks();
     peak_reset();
     let live0 = LIVE.load(Ordering::Relaxed);
     let t0 = Instant::now();
-    let miner = PartitionedMiner::try_new(plan, |r| cmp_set.load_range(r), pair_config, 1, &budget)
-        .expect("the chunk plan fits the matched budget");
+    let miner = BucketedMiner::try_new(
+        plan,
+        |r| cmp_set.load_range(r),
+        pair_config,
+        1,
+        cmp_bytes / 6,
+        &budget,
+    )
+    .expect("the bucketed index fits the matched budget");
     let part_n = miner.count() as u64;
     let part_s = t0.elapsed().as_secs_f64();
     let part_peak = peak_since(live0);

@@ -63,9 +63,9 @@ pub struct ClusterConfig {
     pub shard: ShardParams,
     /// Memory-budget knobs for the out-of-core index plane
     /// ([`crate::source::with_source`]): the shared accounting budget the
-    /// index builders reserve against, and the per-chunk index target for
-    /// partitioned GSA construction. Pair *sets* (and therefore
-    /// components) are bit-identical for every setting.
+    /// index builders reserve against, and the per-group index target of
+    /// the prefix-bucketed miner. The exact pair stream (and therefore
+    /// every result) is bit-identical for every setting.
     pub mem: MemParams,
     /// Sketch-plane knobs ([`crate::lsh`]): which candidate generator the
     /// front half runs (`Exact` pins the suffix-index miner; `Approx` and
@@ -85,11 +85,14 @@ pub struct MemParams {
     /// The memory budget index structures reserve against. Default:
     /// unlimited (accounting only, nothing refused).
     pub budget: MemoryBudget,
-    /// Target estimated index bytes per GSA chunk for the partitioned
-    /// miner. `0` = auto: monolithic when it fits the budget, otherwise
-    /// chunks derived from the remaining budget; any positive value
-    /// forces the partitioned path with chunks of roughly this many
-    /// index bytes.
+    /// Target rank-array bytes per bucket group for the out-of-core
+    /// (prefix-bucketed) miner, which also pages the store in by ranges
+    /// of this estimated index size. `0` = auto: monolithic when it fits
+    /// the budget, otherwise groups sized to the budget left after the
+    /// resident text; any positive value forces the bucketed path with
+    /// groups of at most this many bytes (a single prefix bucket larger
+    /// than the target gets a group of its own). The pair stream, and so
+    /// every result, is the same for every value.
     pub index_chunk_bytes: u64,
 }
 

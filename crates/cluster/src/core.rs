@@ -110,10 +110,11 @@ pub struct CcdCursor {
     /// Pairs already drawn from the generator (a batch boundary).
     pub pairs_consumed: u64,
     /// How the pair stream was generated: `0` for the monolithic index,
-    /// else the settled per-chunk index target of the partitioned
-    /// generator. Resume rebuilds the source from *this* value — not the
-    /// resumed run's own `MemParams` — because `pairs_consumed` is a
-    /// position in that specific generation order.
+    /// the `PIN_SKETCH_*` sentinels for the sketch streams, else the
+    /// settled per-group target of the bucketed generator. Resume
+    /// rebuilds that kind of source: a sketch pin its sketch stream, an
+    /// exact pin the exact stream (the same order for every plan),
+    /// because `pairs_consumed` is a position in that generation order.
     pub gen_chunk_bytes: u64,
     /// Union-find parent array (`UnionFind::parts`).
     pub uf_parent: Vec<u32>,

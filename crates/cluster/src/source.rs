@@ -13,25 +13,28 @@
 //! * [`IterSource`] — any explicit pair stream; the ablation hook
 //!   (`run_ccd_from_pairs`) and the pre-collected sources in the
 //!   driver-equivalence matrix tests.
-//! * [`PartitionedMinedSource`] — the out-of-core generator: per-chunk
-//!   GSAs mined task by task under a [`pfam_seq::MemoryBudget`]
-//!   (see [`pfam_suffix::PartitionedMiner`]); the pair *set* is identical
-//!   to [`MinedSource`], the order is the deterministic task order.
+//! * [`PartitionedMinedSource`] — the out-of-core generator: a
+//!   byte-per-residue text resident, suffixes ranked a group of prefix
+//!   buckets at a time
+//!   under a [`pfam_seq::MemoryBudget`] (see
+//!   [`pfam_suffix::BucketedMiner`]); its stream is [`MinedSource`]'s,
+//!   pair for pair, in the same order.
 //!
 //! The suffix index borrows the sequence set transitively (set → GSA →
 //! tree → generator), so [`with_mined_source`] owns that borrow chain and
 //! lends the finished source to a closure. [`with_source`] is the
 //! budget-aware front door every driver routes through: it picks the
 //! monolithic or partitioned generator from the [`crate::config::MemParams`]
-//! knobs and the store's residency, degrading to smaller chunks instead
+//! knobs and the store's residency, packing smaller bucket groups instead
 //! of aborting when the budget binds.
 
 use std::ops::Range;
 
 use pfam_seq::{BudgetError, MemoryBudget, SeqId, SeqStore, SequenceSet};
 use pfam_suffix::{
-    estimated_index_bytes, promising_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
-    MaximalMatchConfig, MaximalMatchGenerator, PartitionedMiner, SuffixTree,
+    estimated_index_bytes, estimated_text_bytes, promising_pairs, BucketCensus, BucketedMiner,
+    ChunkPlan, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, MaximalMatchGenerator,
+    SuffixTree,
 };
 
 use crate::config::ClusterConfig;
@@ -114,140 +117,110 @@ impl PairSource for MinedSource<'_> {
 /// A chunk loader: global id range → in-memory set (ids renumbered from
 /// 0) with the config's index-side masking already applied. Masking is
 /// per-sequence, so chunk-level masking equals whole-set masking.
-type ChunkLoader<'a> = Box<dyn FnMut(Range<u32>) -> SequenceSet + 'a>;
-
-fn chunk_loader<'a>(
-    store: &'a dyn SeqStore,
+fn chunk_loader(
+    store: &dyn SeqStore,
     mask: Option<pfam_seq::complexity::MaskParams>,
-) -> ChunkLoader<'a> {
-    Box::new(move |r: Range<u32>| {
+) -> impl FnMut(Range<u32>) -> SequenceSet + '_ {
+    move |r: Range<u32>| {
         let chunk = store.load_range(r);
         match mask {
             None => chunk,
             Some(_) => crate::mask::index_view(&chunk, &mask).into_owned(),
         }
-    })
+    }
 }
 
-/// Default per-chunk index target when partitioning is forced (paged
+/// Default per-group index target when partitioning is forced (paged
 /// store) but neither a chunk size nor a budget limit is configured.
 const DEFAULT_CHUNK_INDEX_BYTES: u64 = 256 << 20;
 
-/// Pairs mined from per-chunk suffix indexes — the out-of-core
-/// counterpart of [`MinedSource`]. Same pair *set*, deterministic
-/// task-major order, at most one task's index resident at a time.
-pub struct PartitionedMinedSource<'a> {
-    miner: PartitionedMiner<ChunkLoader<'a>>,
-    /// The per-chunk index target the plan was built from, after budget
-    /// degradation — the value a checkpoint cursor pins so resume can
-    /// rebuild the identical generation order.
+/// Sequence lengths of every sequence in `store`, in id order.
+fn store_lens(store: &dyn SeqStore) -> Vec<u32> {
+    (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect()
+}
+
+/// Pairs mined from a prefix-bucketed suffix index — the out-of-core
+/// counterpart of [`MinedSource`], with the same stream: same pairs,
+/// same order, same anchors, whatever the plan.
+pub struct PartitionedMinedSource {
+    miner: BucketedMiner,
+    /// The per-group index target the miner settled on — the value a
+    /// checkpoint cursor records as its generation-plan pin.
     chunk_target: u64,
 }
 
-impl<'a> PartitionedMinedSource<'a> {
-    /// Build the partitioned generator over `store`, sizing chunks from
-    /// [`crate::config::MemParams`] and degrading (halving the chunk
-    /// target, down to one-sequence chunks) until the plan's peak task
-    /// footprint fits the budget. When even one-sequence chunks exceed
-    /// the limit the miner runs accounting-only rather than aborting —
+impl PartitionedMinedSource {
+    /// Build the bucketed generator over `store`. The group target is
+    /// [`crate::config::MemParams::index_chunk_bytes`] when set, else the
+    /// budget left once the resident text is reserved, else a 256 MiB
+    /// default; the store is paged in by a [`ChunkPlan`] of the same
+    /// target. When even the text plus the largest prefix bucket exceeds
+    /// the budget the miner runs accounting-only rather than aborting —
     /// the fallible pipeline surface ([`check_index_budget`]) reports
     /// that case as a typed error before any driver gets here.
     pub fn new(
-        store: &'a dyn SeqStore,
+        store: &dyn SeqStore,
         config: &ClusterConfig,
         psi: u32,
         threads: usize,
-    ) -> PartitionedMinedSource<'a> {
+    ) -> PartitionedMinedSource {
         let mm = MaximalMatchConfig {
             min_len: psi,
             max_pairs_per_node: config.max_pairs_per_node,
             dedup: true,
         };
         let budget = &config.mem.budget;
-        let lens: Vec<u32> =
-            (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
-        let mut target = if config.mem.index_chunk_bytes > 0 {
+        let lens = store_lens(store);
+        let chunk_target = if config.mem.index_chunk_bytes > 0 {
             config.mem.index_chunk_bytes
         } else if budget.is_limited() {
-            // A task holds two chunks resident; the third share is slack
-            // for the union text's sentinels and mining scratch.
-            (budget.remaining() / 3).max(1)
+            let residues = lens.iter().map(|&l| l as usize).sum();
+            let text = estimated_text_bytes(residues, lens.len());
+            budget.remaining().saturating_sub(text).max(1)
         } else {
             DEFAULT_CHUNK_INDEX_BYTES
         };
-        loop {
-            let plan = ChunkPlan::plan(&lens, target);
-            let maxed_out = plan.n_chunks() >= lens.len();
-            match PartitionedMiner::try_new(
-                plan,
-                chunk_loader(store, config.mask),
-                mm,
-                threads,
-                budget,
-            ) {
-                Ok(miner) => return PartitionedMinedSource { miner, chunk_target: target },
-                Err(_) if !maxed_out => target = (target / 2).max(1),
-                Err(_) => {
-                    // One-sequence chunks still over budget: degrade to
-                    // accounting-only (never abort mid-drive).
-                    let plan = ChunkPlan::plan(&lens, 1);
-                    let miner =
-                        PartitionedMiner::new(plan, chunk_loader(store, config.mask), mm, threads);
-                    return PartitionedMinedSource { miner, chunk_target: 1 };
-                }
-            }
-        }
+        let plan = ChunkPlan::plan(&lens, chunk_target);
+        let loader = chunk_loader(store, config.mask);
+        let miner =
+            match BucketedMiner::try_new(plan.clone(), loader, mm, threads, chunk_target, budget) {
+                Ok(miner) => miner,
+                // Over budget: run accounting-only (never abort mid-drive).
+                Err(_) => BucketedMiner::new(
+                    plan,
+                    chunk_loader(store, config.mask),
+                    mm,
+                    threads,
+                    chunk_target,
+                ),
+            };
+        PartitionedMinedSource { miner, chunk_target }
     }
 
-    /// Build the partitioned generator with an exact, pinned per-chunk
-    /// target — no degradation: the chunk plan (and therefore the pair
-    /// *order*) is a pure function of the store's lengths and `target`.
-    /// This is the checkpoint-resume path: the cursor pins the target the
-    /// original run settled on, and replay must reproduce that order even
-    /// if this run's budget differs. The budget still *accounts* for the
-    /// footprint when it fits; when it does not, the miner runs
-    /// accounting-only rather than silently changing the order.
-    pub fn with_target(
-        store: &'a dyn SeqStore,
-        config: &ClusterConfig,
-        psi: u32,
-        threads: usize,
-        target: u64,
-    ) -> PartitionedMinedSource<'a> {
-        let mm = MaximalMatchConfig {
-            min_len: psi,
-            max_pairs_per_node: config.max_pairs_per_node,
-            dedup: true,
-        };
-        let lens: Vec<u32> =
-            (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
-        let plan = ChunkPlan::plan(&lens, target.max(1));
-        let miner = match PartitionedMiner::try_new(
-            plan.clone(),
-            chunk_loader(store, config.mask),
-            mm,
-            threads,
-            &config.mem.budget,
-        ) {
-            Ok(miner) => miner,
-            Err(_) => PartitionedMiner::new(plan, chunk_loader(store, config.mask), mm, threads),
-        };
-        PartitionedMinedSource { miner, chunk_target: target.max(1) }
-    }
-
-    /// The chunk plan the miner settled on (after budget degradation).
+    /// The load plan the store was paged in by.
     pub fn plan(&self) -> &ChunkPlan {
         self.miner.plan()
     }
 
-    /// The per-chunk index target the plan was built from — what a
+    /// Number of prefix-bucket groups the suffixes are ranked in.
+    pub fn n_groups(&self) -> usize {
+        self.miner.n_groups()
+    }
+
+    /// Prefix buckets holding at least one suffix (the most groups any
+    /// target can produce).
+    pub fn n_buckets(&self) -> usize {
+        self.miner.census().nonempty_buckets()
+    }
+
+    /// The per-group index target the miner settled on — what a
     /// checkpoint cursor records as its generation-plan pin.
     pub fn chunk_target(&self) -> u64 {
         self.chunk_target
     }
 }
 
-impl PairSource for PartitionedMinedSource<'_> {
+impl PairSource for PartitionedMinedSource {
     fn next_batch(&mut self, max: usize) -> Vec<MatchPair> {
         self.miner.by_ref().take(max).collect()
     }
@@ -314,10 +287,10 @@ pub fn with_mined_source<R>(
 /// Otherwise the exact miner: the monolithic [`MinedSource`] when the
 /// store is in-memory, no chunk size is forced, and the whole index fits
 /// the budget (reserving its footprint for the duration of `f`); else the
-/// [`PartitionedMinedSource`], whose chunk plan degrades under the budget
-/// instead of aborting. The exact variants yield the same pair *set*, and
-/// every consumer is order-invariant, so components are identical either
-/// way; `Approx` changes the pair set per the banding curve.
+/// [`PartitionedMinedSource`], whose bucket groups shrink under the
+/// budget instead of aborting. The exact variants yield the same stream,
+/// pair for pair, so every result is identical either way; `Approx`
+/// changes the pair set per the banding curve.
 pub fn with_source<R>(
     store: &dyn SeqStore,
     config: &ClusterConfig,
@@ -332,21 +305,16 @@ pub fn with_source<R>(
 /// checkpoint-resume seam.
 ///
 /// `pairs_consumed` in a [`crate::core::CcdCursor`] is a position in one
-/// specific generation order, and the partitioned generator's order is a
-/// function of its chunk plan. So every emitted cursor pins the plan it
-/// was generated under (`0` = monolithic, [`PIN_SKETCH_APPROX`] /
+/// specific generation order. Every emitted cursor pins the source it was
+/// generated under (`0` = monolithic, [`PIN_SKETCH_APPROX`] /
 /// [`PIN_SKETCH_HYBRID`] = the deterministic sketch streams, else the
-/// settled per-chunk target), and resume passes that pin here: the source is rebuilt from
-/// the *pin*, not from this run's [`crate::config::MemParams`], making
-/// resume byte-identical even when the resumed run is configured with a
-/// different chunk size (or none at all). The closure receives the
-/// settled pin so fresh runs can stamp it into the cursors they emit.
-///
-/// A pinned plan overrides budget *routing* but not budget *accounting*:
-/// the reservation is still attempted, and when the pinned plan no longer
-/// fits the generator runs accounting-only — changing the order would
-/// corrupt the replay, which is strictly worse than exceeding a soft
-/// limit.
+/// settled per-group target), and resume passes that pin here. A sketch
+/// pin rebuilds that sketch stream; an exact pin (0 or any target)
+/// rebuilds the exact stream, routed by *this* run's
+/// [`crate::config::MemParams`] — the monolithic and bucketed miners emit
+/// the same order for every plan, so the replay is byte-identical under
+/// any chunk size or budget. The closure receives the settled pin so
+/// fresh runs can stamp it into the cursors they emit.
 pub fn with_source_pinned<R>(
     store: &dyn SeqStore,
     config: &ClusterConfig,
@@ -355,52 +323,24 @@ pub fn with_source_pinned<R>(
     pin: Option<u64>,
     f: impl FnOnce(&mut dyn PairSource, u64) -> R,
 ) -> R {
-    match pin {
-        // Pinned sketch modes: rebuild the same deterministic sketch
-        // stream (a pure function of the store and SketchParams, so the
-        // pin carries no plan payload — just which source to rebuild).
-        Some(PIN_SKETCH_APPROX) => {
+    let mode = match pin {
+        Some(PIN_SKETCH_APPROX) => SketchMode::Approx,
+        Some(PIN_SKETCH_HYBRID) => SketchMode::Hybrid,
+        Some(_) => SketchMode::Exact,
+        None => config.sketch.mode,
+    };
+    match mode {
+        // Sketch streams are a pure function of the store and
+        // SketchParams, so their pin carries no plan payload.
+        SketchMode::Approx => {
             let mut source = SketchSource::new(store, config, psi, threads);
             f(&mut source, PIN_SKETCH_APPROX)
         }
-        Some(PIN_SKETCH_HYBRID) => {
+        SketchMode::Hybrid => {
             let mut source = HybridSource::new(store, config, psi, threads);
             f(&mut source, PIN_SKETCH_HYBRID)
         }
-        // Pinned monolithic: the checkpointed run mined one big index.
-        Some(0) => {
-            let owned;
-            let set: &SequenceSet = match store.as_sequence_set() {
-                Some(set) => set,
-                None => {
-                    owned = store.load_range(0..store.len() as u32);
-                    &owned
-                }
-            };
-            let estimate = estimated_index_bytes(set.total_residues(), set.len());
-            let _held = config.mem.budget.try_reserve("gsa-index", estimate).ok();
-            with_mined_source(set, config, psi, threads, |source| f(source, 0))
-        }
-        // Pinned partitioned: rebuild the exact chunk plan.
-        Some(target) => {
-            let mut source =
-                PartitionedMinedSource::with_target(store, config, psi, threads, target);
-            f(&mut source, target)
-        }
-        // Fresh run: route from SketchParams/MemParams and report what
-        // was chosen.
-        None => {
-            match config.sketch.mode {
-                SketchMode::Approx => {
-                    let mut source = SketchSource::new(store, config, psi, threads);
-                    return f(&mut source, PIN_SKETCH_APPROX);
-                }
-                SketchMode::Hybrid => {
-                    let mut source = HybridSource::new(store, config, psi, threads);
-                    return f(&mut source, PIN_SKETCH_HYBRID);
-                }
-                SketchMode::Exact => {}
-            }
+        SketchMode::Exact => {
             if config.mem.index_chunk_bytes == 0 {
                 if let Some(set) = store.as_sequence_set() {
                     let estimate = estimated_index_bytes(set.total_residues(), set.len());
@@ -417,17 +357,25 @@ pub fn with_source_pinned<R>(
 }
 
 /// The fallible budget check for the pipeline's budgeted entry points:
-/// `Err` iff the *minimum feasible* index plan — one-sequence chunks, the
-/// deepest the partitioned miner can degrade — still exceeds the
-/// remaining budget, i.e. no amount of chunking makes the index fit.
-/// Drivers themselves never abort; this is where the typed error
-/// surfaces instead.
+/// `Err` iff the *minimum feasible* index — the encoded text resident
+/// plus the rank arrays of the largest prefix bucket, the smallest group
+/// the bucketed miner can pack — exceeds the remaining budget, i.e. no
+/// group size makes the index fit. Buckets are counted over the
+/// unmasked store at the longest prefix ([`pfam_suffix::MAX_BUCKET_PREFIX`]
+/// residues, the prefix of every cutoff at least that long); masking
+/// only removes suffixes, so the figure bounds every masked run. The
+/// store is read range by range. Drivers themselves never abort; this is
+/// where the typed error surfaces instead.
 pub fn check_index_budget(store: &dyn SeqStore, budget: &MemoryBudget) -> Result<(), BudgetError> {
     if !budget.is_limited() {
         return Ok(());
     }
-    let lens: Vec<u32> = (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
-    let need = ChunkPlan::plan(&lens, 1).max_task_index_bytes();
+    let plan = ChunkPlan::plan(&store_lens(store), DEFAULT_CHUNK_INDEX_BYTES);
+    let mut census = BucketCensus::new(pfam_suffix::MAX_BUCKET_PREFIX);
+    for c in 0..plan.n_chunks() {
+        census.add(&store.load_range(plan.chunk_range(c)));
+    }
+    let need = census.min_index_bytes();
     if budget.would_fit(need) {
         Ok(())
     } else {
@@ -474,6 +422,27 @@ mod tests {
         // Skipping past the end is harmless.
         s.skip(100);
         assert!(s.next_batch(1).is_empty());
+    }
+
+    #[test]
+    fn check_index_budget_boundary_is_text_plus_the_largest_bucket() {
+        let set = set_of(&[
+            "MKVLWAAKNDCQEGHILKMFPSTWYV",
+            "MKVLWAAKNDCQEGHILKMFPSTWYV",
+            "GHILPWYVRNDAAKXCQQEEGGHHII",
+        ]);
+        let mut census = BucketCensus::new(pfam_suffix::MAX_BUCKET_PREFIX);
+        census.add(&set);
+        let need = census.min_index_bytes();
+        assert!(need < estimated_index_bytes(set.total_residues(), set.len()));
+
+        let err = check_index_budget(&set, &MemoryBudget::limited(need - 1))
+            .expect_err("need - 1 must be refused");
+        assert_eq!(err.what, "partitioned-gsa");
+        assert_eq!(err.requested, need);
+        assert_eq!(err.limit, need - 1);
+        check_index_budget(&set, &MemoryBudget::limited(need)).expect("need is admitted");
+        check_index_budget(&set, &MemoryBudget::unlimited()).expect("no limit, no refusal");
     }
 
     #[test]

@@ -30,8 +30,8 @@ enum SourceKind {
     MinedParallel,
     /// Pairs pre-collected into an explicit [`IterSource`] stream.
     Collected,
-    /// The out-of-core generator: per-chunk suffix indexes with a chunk
-    /// target tiny enough that real inputs split into several chunks.
+    /// The out-of-core generator: the prefix-bucketed miner with a group
+    /// target tiny enough that real inputs split into several groups.
     Partitioned,
 }
 
@@ -98,15 +98,15 @@ fn match_config(config: &ClusterConfig) -> MaximalMatchConfig {
 }
 
 /// `config` with a chunk target small enough that any non-trivial set
-/// splits into several per-chunk indexes.
+/// is paged in by several ranges and ranked in several bucket groups.
 fn chunked(config: &ClusterConfig) -> ClusterConfig {
     let mut cfg = config.clone();
     cfg.mem.index_chunk_bytes = 256;
     cfg
 }
 
-/// The full pair stream of the out-of-core generator (its deterministic
-/// task-major order).
+/// The full pair stream of the out-of-core generator (the monolithic
+/// order, whatever the plan).
 fn partitioned_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair> {
     let cfg = chunked(config);
     let mut source = PartitionedMinedSource::new(set, &cfg, config.psi_ccd, 1);

@@ -1,27 +1,27 @@
-//! Property suite for the out-of-core index plane: the partitioned
-//! generator's pair *set* equals the monolithic miner's for every chunk
-//! plan, and checkpoint/resume is byte-identical even when the resumed
-//! run is configured with a different chunk size (the cursor pins the
-//! generation plan it was cut under).
+//! Property suite for the out-of-core index plane: the prefix-bucketed
+//! generator's stream equals the monolithic miner's — same pairs, same
+//! order, same anchors — for every group plan, and checkpoint/resume is
+//! byte-identical even when the resumed run is configured with a
+//! different chunk size.
+
+use proptest::prelude::*;
 
 use pfam_cluster::{
     run_ccd, run_ccd_resumable, with_mined_source, ClusterConfig, PairSource,
     PartitionedMinedSource,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
+use pfam_seq::complexity::MaskParams;
 use pfam_seq::{SequenceSet, SequenceSetBuilder};
-use pfam_suffix::{estimated_index_bytes, MatchPair};
+use pfam_suffix::{
+    estimated_index_bytes, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig,
+    MaximalMatchGenerator, SuffixTree,
+};
 
-/// Order-free canonical form: `(a, b, len)` per emitted pair — the
-/// fields [`MatchPair`]'s own equality is defined over. The longest
-/// match per pair is a property of the two sequences alone, so it is
-/// chunk-invariant; the representative *occurrence* positions are not
-/// (ties at the maximal length are reported in enumeration order, which
-/// differs between one big index and per-chunk indexes).
-fn canonical(pairs: Vec<MatchPair>) -> Vec<(u32, u32, u32)> {
-    let mut keys: Vec<_> = pairs.iter().map(|p| (p.a.0, p.b.0, p.len)).collect();
-    keys.sort_unstable();
-    keys
+/// Every field of each pair, in stream order. [`MatchPair`]'s own
+/// equality ignores the anchors, so they are compared explicitly.
+fn full(pairs: &[MatchPair]) -> Vec<(u32, u32, u32, u32, u32)> {
+    pairs.iter().map(|p| (p.a.0, p.b.0, p.len, p.a_pos, p.b_pos)).collect()
 }
 
 /// The monolithic reference stream (masked view, one big index).
@@ -32,41 +32,45 @@ fn mono_pairs(set: &SequenceSet, config: &ClusterConfig, psi: u32) -> Vec<MatchP
     with_mined_source(set, config, psi, 1, |s| s.next_batch(usize::MAX))
 }
 
-/// The partitioned stream under an exact pinned chunk target, plus the
-/// number of chunks the plan produced.
-fn part_pairs(
+/// The bucketed stream under group target `target`, plus the number of
+/// groups and of non-empty prefix buckets.
+fn bucketed(
     set: &SequenceSet,
     config: &ClusterConfig,
     psi: u32,
     target: u64,
-) -> (Vec<MatchPair>, usize) {
-    let mut src = PartitionedMinedSource::with_target(set, config, psi, 1, target);
-    let n_chunks = src.plan().n_chunks();
-    (src.next_batch(usize::MAX), n_chunks)
+    threads: usize,
+) -> (Vec<MatchPair>, usize, usize) {
+    let mut config = config.clone();
+    config.mem.index_chunk_bytes = target;
+    let mut src = PartitionedMinedSource::new(set, &config, psi, threads);
+    let (n_groups, n_buckets) = (src.n_groups(), src.n_buckets());
+    (src.next_batch(usize::MAX), n_groups, n_buckets)
 }
 
-/// Sweep chunk targets spanning one-chunk, several-chunk and
-/// one-sequence-per-chunk plans, asserting pair-set identity for each.
+/// Sweep group targets spanning one group, several groups and one bucket
+/// per group, at one and two threads, asserting stream identity for each.
 fn assert_sweep_identical(set: &SequenceSet, config: &ClusterConfig, psi: u32) {
-    let reference = canonical(mono_pairs(set, config, psi));
+    let reference = full(&mono_pairs(set, config, psi));
     let whole = estimated_index_bytes(set.total_residues(), set.len()).max(1);
-    let mut chunk_counts = Vec::new();
-    for target in [whole, whole / 3 + 1, whole / 7 + 1, 1] {
-        let (pairs, n_chunks) = part_pairs(set, config, psi, target);
-        assert_eq!(
-            canonical(pairs),
-            reference,
-            "partitioned pair set diverged at target {target} ({n_chunks} chunks)"
-        );
-        chunk_counts.push(n_chunks);
-    }
-    if set.len() > 1 {
-        assert_eq!(chunk_counts[0], 1, "the whole-set target must give one chunk");
-        assert_eq!(
-            *chunk_counts.last().expect("non-empty sweep"),
-            set.len(),
-            "target 1 must give one-sequence chunks"
-        );
+    for (target, plan) in
+        [(whole, "one group"), (whole / 7 + 1, "several groups"), (1, "one bucket")]
+    {
+        for threads in [1, 2] {
+            let (pairs, n_groups, n_buckets) = bucketed(set, config, psi, target, threads);
+            assert_eq!(
+                full(&pairs),
+                reference,
+                "bucketed stream diverged: {plan} (target {target}, {n_groups} groups, \
+                 threads {threads})"
+            );
+            match plan {
+                "one group" => assert!(n_groups <= 1, "{n_groups} groups"),
+                "several groups" if n_buckets >= 8 => assert!(n_groups > 1, "{n_groups} groups"),
+                "one bucket" => assert_eq!(n_groups, n_buckets, "one bucket per group"),
+                _ => {}
+            }
+        }
     }
 }
 
@@ -79,27 +83,74 @@ fn set_of(seqs: &[&str]) -> SequenceSet {
 }
 
 #[test]
-fn pair_sets_identical_across_chunk_sweep_on_datagen() {
+fn pair_streams_identical_across_group_sweep_on_datagen() {
     for seed in [3u64, 7, 21] {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(seed));
         let config = ClusterConfig::default();
         assert_sweep_identical(&d.set, &config, config.psi_ccd);
+        assert_sweep_identical(&d.set, &config, config.psi_rr);
     }
 }
 
 #[test]
-fn pair_sets_identical_on_empty_and_single_sequence_sets() {
+fn pair_streams_identical_on_empty_and_single_sequence_sets() {
     let config = ClusterConfig::for_short_sequences();
     assert_sweep_identical(&SequenceSet::new(), &config, config.psi_ccd);
     assert_sweep_identical(&set_of(&["MKVLWAAKNDCQEGHILKMFPSTWYV"]), &config, config.psi_ccd);
 }
 
 #[test]
-fn repeat_straddling_a_chunk_boundary_is_found() {
+fn binding_per_node_cap_keeps_the_stream() {
+    // Twenty copies of one word with distinct flanks: the word's node
+    // has 190 maximal pairs, far over a cap of 25.
+    let flanks = b"ARNDCQEGHILKMFPSTWYV";
+    let seqs: Vec<String> = (0..20)
+        .map(|i| {
+            let l = flanks[i] as char;
+            let r = flanks[(i + 7) % 20] as char;
+            format!("{l}{l}MKVLWAAKNDCQEG{r}{r}HILK")
+        })
+        .collect();
+    let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
+    let set = set_of(&refs);
+    let config = ClusterConfig { max_pairs_per_node: 25, ..ClusterConfig::for_short_sequences() };
+    let psi = 6;
+
+    let gsa = GeneralizedSuffixArray::build(&set);
+    let tree = SuffixTree::build(&gsa);
+    let mm = MaximalMatchConfig { min_len: psi, max_pairs_per_node: 25, dedup: true };
+    let mut generator = MaximalMatchGenerator::new(&tree, mm);
+    generator.by_ref().for_each(drop);
+    assert!(generator.stats().pairs_capped > 0, "the cap must bind");
+
+    assert_sweep_identical(&set, &config, psi);
+}
+
+#[test]
+fn x_residues_and_masking_keep_the_stream() {
+    // X residues inside shared words, and low-complexity runs that the
+    // index-side mask turns into X.
+    let set = set_of(&[
+        "MKVLWAAKNDXCQEGHILKMFPSTWYV",
+        "GGMKVLWAAKNDXCQEGHILKWW",
+        "QQQQQQQQQQQQQQQQMKVLWAAKNDCQ",
+        "PPQQQQQQQQQQQQQQQQQQRRMKVLWAAK",
+        "XXXXMKVLWXXXX",
+        "AAKNDCQEGHILKMFPSTWYVXXXAAKNDCQEGH",
+    ]);
+    let plain = ClusterConfig::for_short_sequences();
+    let masked = ClusterConfig { mask: Some(MaskParams::default()), ..plain.clone() };
+    for config in [plain, masked] {
+        for psi in [3u32, 5, 8] {
+            assert_sweep_identical(&set, &config, psi);
+        }
+    }
+}
+
+#[test]
+fn repeat_straddling_bucket_groups_is_found() {
     // A long shared word placed in the first and last sequence, with a
-    // decoy in between: under one-sequence chunks the two occurrences
-    // live in different chunks, so only the cross-chunk task can pair
-    // them.
+    // decoy in between, mined under one-bucket groups.
     const WORD: &str = "MKVLWAAKNDCQEGH";
     let s0 = format!("{WORD}ILKMFPSTWYV");
     let s1 = "GGHHIIPPWWYYVVRRNNDD".to_string();
@@ -108,13 +159,36 @@ fn repeat_straddling_a_chunk_boundary_is_found() {
     let config = ClusterConfig::for_short_sequences();
     let psi = WORD.len() as u32;
 
-    let (pairs, n_chunks) = part_pairs(&set, &config, psi, 1);
-    assert_eq!(n_chunks, 3, "one-sequence chunks expected");
+    let (pairs, n_groups, n_buckets) = bucketed(&set, &config, psi, 1, 1);
+    assert_eq!(n_groups, n_buckets, "one bucket per group expected");
     assert!(
         pairs.iter().any(|p| p.a.0 == 0 && p.b.0 == 2 && p.len >= psi),
-        "the cross-chunk repeat pair (0, 2) must be mined: {pairs:?}"
+        "the repeat pair (0, 2) must be mined: {pairs:?}"
     );
-    assert_eq!(canonical(pairs), canonical(mono_pairs(&set, &config, psi)));
+    assert_eq!(full(&pairs), full(&mono_pairs(&set, &config, psi)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random sets over a small alphabet (so repeats abound), with X
+    /// residues, under random cutoffs and group targets: always the
+    /// monolithic stream.
+    #[test]
+    fn bucketed_stream_is_monolithic_for_every_group_plan(
+        seqs in prop::collection::vec("[ACDX]{1,40}", 1..12),
+        psi in 1u32..9,
+        target in 1u64..4096,
+        cap in 1usize..60,
+        threads in 1usize..3,
+    ) {
+        let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
+        let set = set_of(&refs);
+        let config = ClusterConfig { max_pairs_per_node: cap, ..ClusterConfig::for_short_sequences() };
+        let reference = full(&mono_pairs(&set, &config, psi));
+        let (pairs, _, _) = bucketed(&set, &config, psi, target, threads);
+        prop_assert_eq!(full(&pairs), reference);
+    }
 }
 
 #[test]
@@ -127,13 +201,14 @@ fn components_identical_through_run_ccd_across_chunk_sizes() {
         let got = run_ccd(&d.set, &cfg);
         assert_eq!(got.components, reference.components, "chunk target {chunk_bytes}");
         assert_eq!(got.n_merges, reference.n_merges, "chunk target {chunk_bytes}");
+        assert_eq!(got.trace, reference.trace, "chunk target {chunk_bytes}");
     }
 }
 
 #[test]
 fn resume_with_a_different_chunk_size_is_byte_identical() {
     let d = SyntheticDataset::generate(&DatasetConfig::tiny(77));
-    // The checkpointed run mines through forced 2 KiB chunks.
+    // The checkpointed run mines through forced 2 KiB groups.
     let mut cfg_a = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
     cfg_a.mem.index_chunk_bytes = 2048;
     let full = run_ccd(&d.set, &cfg_a);
@@ -149,9 +224,9 @@ fn resume_with_a_different_chunk_size_is_byte_identical() {
     );
 
     // Resume under configs with a *different* chunk size — monolithic
-    // routing and a mismatched chunk target. The pinned plan, not the
-    // resumed config, dictates the generation order, so the replay is
-    // byte-identical: same components, same edges, same trace.
+    // routing and a mismatched chunk target. The exact stream does not
+    // depend on the plan, so the replay is byte-identical: same
+    // components, same edges, same trace.
     let step = (cursors.len() / 3).max(1);
     for cursor in cursors.into_iter().step_by(step) {
         for resumed_chunk in [0u64, 512] {

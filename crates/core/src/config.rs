@@ -99,9 +99,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Pin the partitioned index's per-chunk size to `bytes` of index
-    /// footprint (`0` = derive from the budget, or one monolithic chunk
-    /// when unlimited). Any positive value forces the partitioned path.
+    /// Pin the bucketed index's per-group size to `bytes` of rank arrays
+    /// (`0` = derive from the budget, or monolithic when it fits). Any
+    /// positive value forces the bucketed path.
     pub fn with_index_chunk_bytes(mut self, bytes: u64) -> PipelineConfig {
         self.cluster.mem.index_chunk_bytes = bytes;
         self

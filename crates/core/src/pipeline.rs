@@ -79,10 +79,13 @@ pub fn run_pipeline(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineRe
 
 /// [`run_pipeline`] behind the memory-budget pre-flight check: refuses to
 /// start — with a typed error, never an abort — when even the smallest
-/// partitioned index task (one chunk per sequence) cannot fit
+/// bucketed index (the byte-per-residue text resident plus the rank
+/// arrays of the largest prefix bucket) cannot fit
 /// `config.cluster.mem.budget`. A run that passes the check degrades
-/// gracefully inside: the index plane picks chunk sizes that fit, and the
-/// rank tables fall back to per-set hashing when refused.
+/// gracefully inside: the index plane ranks suffixes in bucket groups
+/// that fit, and the rank tables fall back to per-set hashing when
+/// refused. Its result equals the unbudgeted [`run_pipeline`]'s: the
+/// bucketed miner emits the monolithic pair stream in the same order.
 pub fn run_pipeline_budgeted(
     input: &dyn SeqStore,
     config: &PipelineConfig,

@@ -163,6 +163,29 @@ impl GeneralizedSuffixArray {
         Ok((GeneralizedSuffixArray::build_parallel(set, threads), reservation))
     }
 
+    /// An index holding only rank arrays — a partial suffix array over
+    /// text kept elsewhere, and its LCP array — from which the bucketed
+    /// miner builds a [`crate::SuffixTree`] over a subset of suffixes.
+    /// Only [`sa`](Self::sa) and [`lcp`](Self::lcp) are meaningful; the
+    /// miner reads the leaves' sequences and residues from its own text.
+    pub(crate) fn ranks_only(sa: Vec<u32>, lcp: Vec<u32>) -> GeneralizedSuffixArray {
+        debug_assert_eq!(sa.len(), lcp.len());
+        GeneralizedSuffixArray {
+            text: Vec::new(),
+            sa,
+            lcp,
+            seq_of: Vec::new(),
+            starts: Vec::new(),
+            n_seqs: 0,
+            n_unknown: 0,
+        }
+    }
+
+    /// Take the rank arrays back (to reuse their allocations).
+    pub(crate) fn into_ranks(self) -> (Vec<u32>, Vec<u32>) {
+        (self.sa, self.lcp)
+    }
+
     /// Number of sequences indexed.
     #[inline]
     pub fn n_seqs(&self) -> u32 {

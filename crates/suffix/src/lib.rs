@@ -24,6 +24,9 @@
 //! * [`parallel`] — shared-memory parallel construction of the whole hot
 //!   path (suffix array, LCP, pair generation), bit-identical to the
 //!   serial reference for any thread count.
+//! * [`partitioned`] — the out-of-core miner: a byte-per-residue text
+//!   resident, suffixes ranked a group of prefix buckets at a time,
+//!   emitting the monolithic pair stream exactly.
 
 pub mod distributed;
 pub mod gsa;
@@ -44,7 +47,10 @@ pub use parallel::{
     lcp_array_parallel, parallel_pairs, promising_pairs, resolve_threads, suffix_array_parallel,
     PairSource,
 };
-pub use partitioned::{ChunkPlan, PartitionedMiner};
+pub use partitioned::{
+    estimated_text_bytes, BucketCensus, BucketedMiner, ChunkPlan, MAX_BUCKET_PREFIX,
+    RANK_BYTES_PER_SUFFIX,
+};
 pub use probe::longest_common_match;
 pub use repeats::{longest_repeat, supermaximal_repeats, Repeat};
 pub use rmq::{LcpOracle, SparseRmq};

@@ -19,6 +19,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use pfam_seq::SeqId;
 
+use crate::gsa::GeneralizedSuffixArray;
 use crate::tree::{NodeId, SuffixTree};
 
 /// Hasher for packed [`MatchPair::key`] values: a single 64-bit
@@ -147,22 +148,41 @@ pub struct GenerationStats {
     pub pairs_capped: usize,
 }
 
-/// Enumerate the maximal-match candidate pairs of one tree node, appending
-/// them to `out` in generation order (no dedup — that is a stream-level
-/// concern applied by the caller in node order). Returns the number of
-/// candidates dropped by `max_pairs_per_node`.
+/// The per-leaf facts the pair collector reads: for the suffix of a given
+/// rank, its sequence, the residue to its left (`None` when the match
+/// cannot extend left: a sequence start or an `X`), and its offset within
+/// the sequence.
+pub(crate) trait Leaves: Sync {
+    /// Leaf facts of rank `rank`.
+    fn leaf(&self, rank: u32) -> (SeqId, Option<u8>, u32);
+}
+
+impl Leaves for GeneralizedSuffixArray {
+    #[inline]
+    fn leaf(&self, rank: u32) -> (SeqId, Option<u8>, u32) {
+        let pos = self.sa()[rank as usize] as usize;
+        (self.seq_at(pos), self.left_residue(pos), self.offset_at(pos))
+    }
+}
+
+/// Enumerate the maximal-match candidate pairs of one tree node, reading
+/// each leaf's facts from `leaves`, appending them to `out` in generation
+/// order (no dedup — that is a stream-level concern applied by the caller
+/// in node order). Returns the number of candidates dropped by
+/// `max_pairs_per_node`.
 ///
-/// This function is deliberately free of generator state: both the serial
-/// [`MaximalMatchGenerator`] and the parallel path in [`crate::parallel`]
+/// This function is deliberately free of generator state: the serial
+/// [`MaximalMatchGenerator`], the parallel path in [`crate::parallel`]
+/// (both with the tree's own index as `leaves`) and the bucketed miner
+/// (whose trees rank suffixes of a text the index does not hold) all
 /// call it, which is what guarantees their outputs are identical.
 pub(crate) fn collect_node_pairs(
     tree: &SuffixTree<'_>,
+    leaves: &impl Leaves,
     node: NodeId,
     max_pairs_per_node: usize,
     out: &mut Vec<MatchPair>,
 ) -> usize {
-    let gsa = tree.gsa();
-    let sa = gsa.sa();
     let depth = tree.depth(node);
 
     let groups = tree.child_groups(node);
@@ -174,10 +194,7 @@ pub(crate) fn collect_node_pairs(
     'groups: for (gl, gr) in groups {
         let group_start = prev.len();
         for rank in gl..gr {
-            let pos = sa[rank as usize] as usize;
-            let seq = gsa.seq_at(pos);
-            let left = gsa.left_residue(pos);
-            let off = gsa.offset_at(pos);
+            let (seq, left, off) = leaves.leaf(rank);
             // Pair with all entries from previous groups.
             for &(pseq, pleft, poff) in &prev[..group_start] {
                 if pseq == seq {
@@ -268,8 +285,13 @@ impl<'a> MaximalMatchGenerator<'a> {
     fn process_node(&mut self, node: NodeId) {
         self.stats.nodes_visited += 1;
         self.scratch.clear();
-        self.stats.pairs_capped +=
-            collect_node_pairs(self.tree, node, self.config.max_pairs_per_node, &mut self.scratch);
+        self.stats.pairs_capped += collect_node_pairs(
+            self.tree,
+            self.tree.gsa(),
+            node,
+            self.config.max_pairs_per_node,
+            &mut self.scratch,
+        );
         for &pair in &self.scratch {
             if self.config.dedup && !self.seen.insert(pair.key()) {
                 self.stats.pairs_deduped += 1;

@@ -33,7 +33,8 @@ use std::sync::Mutex;
 
 use crate::lcp::{lcp_array, phi_array, plcp_fill};
 use crate::maximal::{
-    collect_node_pairs, GenerationStats, MatchPair, MaximalMatchConfig, MaximalMatchGenerator,
+    collect_node_pairs, GenerationStats, Leaves, MatchPair, MaximalMatchConfig,
+    MaximalMatchGenerator,
 };
 use crate::sais;
 use crate::tree::{NodeId, SuffixTree};
@@ -87,36 +88,44 @@ where
         .collect()
 }
 
-/// Split `data` into chunks of `chunk_size` and run `f(offset, chunk)` on
-/// up to `threads` workers. Chunks are disjoint `&mut` slices, so no
-/// synchronisation beyond the work cursor is needed.
-/// A one-shot work item: the offset of a chunk plus the chunk itself,
+/// A one-shot work item: the offset of a slice plus the slice itself,
 /// claimed exactly once through the mutex.
 type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 
-fn for_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, threads: usize, f: F)
+/// Split `data` into chunks of `chunk_size` and run `f(offset, chunk)` on
+/// up to `threads` workers. Chunks are disjoint `&mut` slices, so no
+/// synchronisation beyond the work cursor is needed.
+pub(crate) fn for_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk_size = chunk_size.max(1);
-    let chunks: Vec<ChunkSlot<'_, T>> = data
-        .chunks_mut(chunk_size)
-        .enumerate()
-        .map(|(i, c)| Mutex::new(Some((i * chunk_size, c))))
-        .collect();
-    let jobs = chunks.len();
+    let pieces =
+        data.chunks_mut(chunk_size).enumerate().map(|(i, c)| (i * chunk_size, c)).collect();
+    for_pieces_mut(pieces, threads, f);
+}
+
+/// Run `f(offset, piece)` once for every `(offset, piece)` on up to
+/// `threads` workers — [`for_chunks_mut`] for pieces of uneven size
+/// (the bucketed miner's sort units).
+pub(crate) fn for_pieces_mut<T, F>(pieces: Vec<(usize, &mut [T])>, threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let jobs = pieces.len();
     let workers = threads.min(jobs);
     if workers <= 1 {
-        for slot in chunks {
-            let (off, chunk) = slot.into_inner().expect("chunk slot poisoned").expect("filled");
-            f(off, chunk);
+        for (off, piece) in pieces {
+            f(off, piece);
         }
         return;
     }
+    let slots: Vec<ChunkSlot<'_, T>> = pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
     let cursor = AtomicUsize::new(0);
     let f = &f;
-    let chunks = &chunks;
+    let slots = &slots;
     let cursor = &cursor;
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -125,12 +134,12 @@ where
                 if i >= jobs {
                     break;
                 }
-                let (off, chunk) = chunks[i]
+                let (off, piece) = slots[i]
                     .lock()
                     .expect("chunk slot poisoned")
                     .take()
                     .expect("each chunk is taken exactly once");
-                f(off, chunk);
+                f(off, piece);
             });
         }
     });
@@ -393,6 +402,45 @@ pub fn lcp_array_parallel(text: &[u32], sa: &[u32], threads: usize) -> Vec<u32> 
 // Parallel pair generation
 // ---------------------------------------------------------------------------
 
+/// The candidates of a run of tree nodes, mined by one job: the pairs in
+/// node order, how many of them each node produced, and how many the
+/// per-node cap dropped.
+pub(crate) struct MinedNodes {
+    pub(crate) pairs: Vec<MatchPair>,
+    pub(crate) per_node: Vec<u32>,
+    pub(crate) capped: usize,
+}
+
+/// Mine the candidates of every node in `queue` with up to `threads`
+/// workers. Contiguous chunks of the queue go to per-job emit buffers,
+/// returned in queue order, so concatenating them *is* the serial walk's
+/// candidate stream (before dedup).
+pub(crate) fn mine_nodes(
+    tree: &SuffixTree<'_>,
+    leaves: &impl Leaves,
+    queue: &[NodeId],
+    max_pairs_per_node: usize,
+    threads: usize,
+) -> Vec<MinedNodes> {
+    let n_chunks = (threads * 8).min(queue.len().max(1));
+    let chunk_size = queue.len().div_ceil(n_chunks).max(1);
+    let chunks: Vec<&[NodeId]> = queue.chunks(chunk_size).collect();
+    parallel_jobs(chunks.len(), threads, |ci| {
+        let mut mined = MinedNodes {
+            pairs: Vec::new(),
+            per_node: Vec::with_capacity(chunks[ci].len()),
+            capped: 0,
+        };
+        for &node in chunks[ci] {
+            let before = mined.pairs.len();
+            mined.capped +=
+                collect_node_pairs(tree, leaves, node, max_pairs_per_node, &mut mined.pairs);
+            mined.per_node.push((mined.pairs.len() - before) as u32);
+        }
+        mined
+    })
+}
+
 /// Generate every promising pair of `tree` under `config` with up to
 /// `threads` workers, returning the pairs in exactly the order the serial
 /// [`MaximalMatchGenerator`] would yield them (decreasing match length;
@@ -408,26 +456,16 @@ pub fn parallel_pairs(
         .into_iter()
         .take_while(|&node| tree.depth(node) >= config.min_len)
         .collect();
+    let mined = mine_nodes(tree, tree.gsa(), &queue, config.max_pairs_per_node, threads);
 
-    // Contiguous chunks of the depth-sorted node list → per-thread emit
-    // buffers that concatenate back in node order.
-    let n_chunks = (threads * 8).min(queue.len().max(1));
-    let chunk_size = queue.len().div_ceil(n_chunks).max(1);
-    let chunks: Vec<&[NodeId]> = queue.chunks(chunk_size).collect();
-    let mined: Vec<(Vec<MatchPair>, usize)> = parallel_jobs(chunks.len(), threads, |ci| {
-        let mut pairs = Vec::new();
-        let mut capped = 0usize;
-        for &node in chunks[ci] {
-            capped += collect_node_pairs(tree, node, config.max_pairs_per_node, &mut pairs);
-        }
-        (pairs, capped)
-    });
-
+    // The node list is depth-sorted and every pair of a node carries its
+    // depth, so the job buffers concatenate into the decreasing-length
+    // stream; dedup then runs over it in that same order.
     let mut stats = GenerationStats { nodes_visited: queue.len(), ..Default::default() };
-    let total: usize = mined.iter().map(|(p, _)| p.len()).sum();
+    let total: usize = mined.iter().map(|m| m.pairs.len()).sum();
     let mut out = Vec::with_capacity(total);
     let mut seen = crate::maximal::PairKeySet::default();
-    for (pairs, capped) in mined {
+    for MinedNodes { pairs, capped, .. } in mined {
         stats.pairs_capped += capped;
         for pair in pairs {
             if config.dedup && !seen.insert(pair.key()) {

@@ -189,10 +189,15 @@ impl<'a> SuffixTree<'a> {
         groups
     }
 
-    /// Node ids ordered by decreasing string depth (root last).
+    /// Node ids ordered by decreasing string depth, equal depths by SA
+    /// range start (root last). The order is canonical — a function of
+    /// the nodes' depths and ranks alone, not of the order `build`
+    /// happened to number them in — so a miner working on a slice of
+    /// the suffix order can rebuild it from global ranks. (Two nodes of
+    /// one depth are disjoint, so their range starts differ.)
     pub fn nodes_by_depth_desc(&self) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = (0..self.n_nodes() as NodeId).collect();
-        ids.sort_by_key(|&a| std::cmp::Reverse(self.depth(a)));
+        ids.sort_unstable_by_key(|&a| (std::cmp::Reverse(self.depth(a)), self.range(a).0));
         ids
     }
 
@@ -416,5 +421,29 @@ mod tests {
             assert!(t.depth(w[0]) >= t.depth(w[1]));
         }
         assert_eq!(*order.last().unwrap(), 0, "root (depth 0) sorts last");
+    }
+
+    #[test]
+    fn nodes_by_depth_desc_orders_ties_by_range_start() {
+        // Many equal-depth nodes, including the first node `build`
+        // closes (which the root swap renumbers last).
+        let set = set_of(&["AAMKAACC", "CCMKAADD", "AAMKWWCC", "DDAAMK", "MKCCAA"]);
+        let g = GeneralizedSuffixArray::build(&set);
+        let t = SuffixTree::build(&g);
+        let order = t.nodes_by_depth_desc();
+        assert_eq!(order.len(), t.n_nodes());
+        let keys: Vec<(std::cmp::Reverse<u32>, u32)> =
+            order.iter().map(|&n| (std::cmp::Reverse(t.depth(n)), t.range(n).0)).collect();
+        for w in keys.windows(2) {
+            assert!(w[0] < w[1], "order must be (depth desc, range start asc): {keys:?}");
+        }
+        let ties = keys.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        assert!(ties > 2, "the fixture must have equal-depth nodes: {keys:?}");
+        // The first-closed node has the smallest range start among the
+        // deepest-first nodes of its depth; it is no longer sorted last.
+        let first_closed = t.n_nodes() as NodeId - 1;
+        let d = t.depth(first_closed);
+        let peers: Vec<NodeId> = order.iter().copied().filter(|&n| t.depth(n) == d).collect();
+        assert_eq!(peers[0], first_closed, "node renumbered by the root swap sorts first");
     }
 }

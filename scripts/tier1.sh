@@ -7,7 +7,8 @@
 # alignment-engine, min-wise-kernel and streaming-executor identity
 # suites, the fault-injection + chaos-soak + supervision suites, the
 # ft-bench recovery smoke, the out-of-core partitioned-identity suite +
-# index_oc_bench smoke, the sketch-plane driver-matrix suite +
+# index_oc_bench smoke, the perfbench benchmark tests, the sketch-plane
+# driver-matrix suite +
 # lsh_bench smoke, grep gates (no unwrap on inter-rank
 # communication or supervision/retry paths; no UnionFind mutation outside
 # ClusterCore; no mutex-guarded queues in policy hot loops; no whole-file
@@ -112,7 +113,7 @@ cargo test -q -p pfam-cluster --test steal_props
 echo "== tier1: shard-plane identity suite (sharded == single master) =="
 cargo test -q -p pfam-cluster --test shard_identity
 
-echo "== tier1: out-of-core identity suite (partitioned == monolithic) =="
+echo "== tier1: out-of-core identity suite (bucketed stream == monolithic) =="
 cargo test -q -p pfam-cluster --test partitioned_identity
 
 echo "== tier1: alignment-engine identity suites =="
@@ -158,12 +159,18 @@ echo "$SHARD_SMOKE" | grep -q '"components_identical": true' || {
     exit 1
 }
 
-echo "== tier1: index_oc_bench --test (smoke + partitioned-pair identity) =="
+echo "== tier1: index_oc_bench --test (smoke + bucketed-stream identity) =="
 OC_SMOKE=$(cargo run --release -p pfam-bench --bin index_oc_bench -- --test)
 echo "$OC_SMOKE" | grep -q '"pairs_identical": true' || {
-    echo "tier1 FAIL: index_oc_bench smoke did not report identical pair sets" >&2
+    echo "tier1 FAIL: index_oc_bench smoke did not report identical pair streams" >&2
     exit 1
 }
+
+echo "== tier1: pipeline benchmark tests (perfbench builds against the library API) =="
+# perfbench is a package of its own that times the public API from
+# outside; its tests smoke-run every workload, so a library change that
+# breaks the benchmark fails here rather than at benchmark time.
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "== tier1: sketch driver-matrix suite (LSH axis + hybrid == exact) =="
 cargo test -q -p pfam-cluster --test driver_matrix sketch_axis_agrees_across_policies_and_shard_counts

@@ -74,7 +74,7 @@ fn print_usage() {
          \x20               [--min-size N] [--mask] [--psi N]\n\
          \x20               [--mem-budget BYTES[K|M|G]] (cap index-plane memory)\n\
          \x20               [--index-chunk-bytes BYTES[K|M|G]] (pin the\n\
-         \x20               partitioned-index chunk size; 0 = from the budget)\n\
+         \x20               bucketed-index group size; 0 = from the budget)\n\
          \x20               [--sketch-mode exact|approx|hybrid] (LSH candidate\n\
          \x20               generation: approx = banded min-hash buckets,\n\
          \x20               hybrid = LSH prefilter + suffix confirmation)\n\
