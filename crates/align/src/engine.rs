@@ -23,7 +23,10 @@
 //!   positive screen constant `κ = ms·p_min − (1−ms)·q_max > 0` (with
 //!   `p_min` the smallest positive matrix entry and `q_max` the largest
 //!   per-column penalty), any accepted pair satisfies `S* ≥ κ·mc·L`, so
-//!   scores below that threshold reject without traceback.
+//!   scores below that threshold reject without traceback. The reference
+//!   alignment ends at `(i*, j*)`, so it spans at most `i*` residues of
+//!   `x` (`j*` of `y`); pairs whose bound misses the coverage cutoff
+//!   reject without traceback too.
 //! * **Tier 2 — anchor probe.** Promising pairs carry the maximal-match
 //!   coordinates mined by `suffix::maximal`. A gap-free x-drop extension
 //!   along the anchor diagonal — widened on demand into a banded affine DP
@@ -42,15 +45,25 @@
 //!
 //! All tiers share a per-worker [`AlignScratch`] arena (thread-local in the
 //! convenience API), so the hot path performs no per-pair allocation.
+//!
+//! Batches ([`AlignEngine::plan_batch`], [`AlignEngine::verify_group`])
+//! replace tiers 1–3 with the lockstep inter-pair kernel of
+//! `crate::lockstep`: length-binned pairs fill their matrices together, one
+//! pair per SIMD lane, and each lane's traceback replays the reference's.
+//! The same screens apply; pairs the lanes cannot hold go through the
+//! tiers above.
 
 use std::cell::RefCell;
 
 use pfam_seq::ScoringScheme;
 
-use crate::alignment::Alignment;
+use crate::alignment::{AlignStats, Alignment};
 use crate::criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
 use crate::global::{AffineMatrices, NEG_INF};
 use crate::local::{local_affine_with, traceback_local};
+use crate::lockstep::{
+    self, LaneEnd, LaneKernel, LockstepArena, ScoreRows, MAX_GROUP_CELLS, MAX_LANES,
+};
 
 /// Reusable per-worker DP arena shared by the engine tiers and the
 /// buffer-reuse alignment entry points (`local_affine_with`,
@@ -77,6 +90,8 @@ pub struct AlignScratch {
     band_h: Vec<i32>,
     /// Banded-probe F row (slot-indexed).
     band_f: Vec<i32>,
+    /// Direction bytes and rows of the lockstep inter-pair kernel.
+    lockstep: LockstepArena,
 }
 
 impl AlignScratch {
@@ -92,6 +107,7 @@ impl AlignScratch {
             vf: Vec::new(),
             band_h: Vec::new(),
             band_f: Vec::new(),
+            lockstep: LockstepArena::default(),
         }
     }
 }
@@ -192,6 +208,9 @@ pub struct AlignEngine {
     /// Largest per-column penalty `max(gap_open, gap_extend, −min_score, 0)`.
     q_max: i32,
     kernel: KernelKind,
+    lane: LaneKernel,
+    /// Lookup rows the lockstep kernel builds its profiles from.
+    score_rows: ScoreRows,
 }
 
 /// Which tier-1 kernel implementation the engine dispatches to.
@@ -223,6 +242,17 @@ impl KernelKind {
         }
         #[cfg(not(target_arch = "x86_64"))]
         KernelKind::Swar
+    }
+
+    /// The lockstep lane kernel matching this instruction set.
+    fn lane_kernel(self) -> LaneKernel {
+        match self {
+            KernelKind::Scalar | KernelKind::Swar => LaneKernel::Portable,
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Sse2 => LaneKernel::Sse2,
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx2 => LaneKernel::Avx2,
+        }
     }
 
     fn label(self) -> &'static str {
@@ -257,6 +287,8 @@ impl AlignEngine {
             }
         }
         let q_max = scheme.gap_open.max(scheme.gap_extend).max(-mat_min).max(0);
+        let kernel = KernelKind::detect();
+        let score_rows = ScoreRows::new(&scheme.matrix);
         AlignEngine {
             kind,
             scheme,
@@ -266,7 +298,36 @@ impl AlignEngine {
             mat_max,
             mat_min,
             q_max,
-            kernel: KernelKind::detect(),
+            kernel,
+            lane: kernel.lane_kernel(),
+            score_rows,
+        }
+    }
+
+    /// This engine with the lockstep lane kernel `label` (one of
+    /// [`available_lane_kernels`]) instead of the detected one — for
+    /// equivalence tests and benches.
+    ///
+    /// # Panics
+    /// If `label` is not available on this host.
+    pub fn with_lane_kernel(mut self, label: &str) -> AlignEngine {
+        self.lane = match label {
+            "portable" => LaneKernel::Portable,
+            #[cfg(target_arch = "x86_64")]
+            "sse2" => LaneKernel::Sse2,
+            #[cfg(target_arch = "x86_64")]
+            "avx2" if std::arch::is_x86_feature_detected!("avx2") => LaneKernel::Avx2,
+            _ => panic!("lane kernel {label:?} is not available on this host"),
+        };
+        self
+    }
+
+    /// Pairs one lockstep pass verifies together: 16 (AVX2), 8 (SSE2 or
+    /// portable), or 1 for the reference engine, which never batches.
+    pub fn lanes(&self) -> usize {
+        match self.kind {
+            AlignEngineKind::Reference => 1,
+            AlignEngineKind::Tiered => self.lane.lanes(),
         }
     }
 
@@ -301,7 +362,7 @@ impl AlignEngine {
         anchor: Option<Anchor>,
         scratch: &mut AlignScratch,
     ) -> EngineVerdict {
-        self.run(x, y, anchor, scratch, Mode::Containment)
+        self.run(x, y, anchor, scratch, Criterion::Containment)
     }
 
     /// [`Self::overlaps`] with an explicit scratch arena.
@@ -312,7 +373,156 @@ impl AlignEngine {
         anchor: Option<Anchor>,
         scratch: &mut AlignScratch,
     ) -> EngineVerdict {
-        self.run(x, y, anchor, scratch, Mode::Overlap)
+        self.run(x, y, anchor, scratch, Criterion::Overlap)
+    }
+
+    /// Split a batch of pair shapes `(|x|, |y|)` into dispatch units of at
+    /// most [`Self::lanes`] pairs each (indices into `shapes`). The pairs
+    /// the lockstep kernel takes are binned by shape along a Z-order curve
+    /// so that a lane group's padded rectangle stays close to its members';
+    /// the rest (length-screened, not vector-eligible, or every pair of the
+    /// reference engine) follow in input order. Verdicts do not depend on
+    /// the split: feed each unit to [`Self::verify_group`].
+    pub fn plan_batch(&self, mode: Criterion, shapes: &[(usize, usize)]) -> Vec<Vec<u32>> {
+        let (mut lock, rest): (Vec<u32>, Vec<u32>) = (0..shapes.len() as u32).partition(|&k| {
+            let (m, n) = shapes[k as usize];
+            self.takes_lockstep(mode, m, n)
+        });
+        lock.sort_by_key(|&k| (z_order(shapes[k as usize]), k));
+        let mut units = self.pack_groups(&lock, |k| shapes[k as usize]);
+        units.extend(rest.chunks(self.lanes()).map(<[u32]>::to_vec));
+        units
+    }
+
+    /// Verify a batch sequentially: [`Self::plan_batch`], then
+    /// [`Self::verify_group`] per unit, verdicts back in input order.
+    pub fn verify_batch(
+        &self,
+        mode: Criterion,
+        pairs: &[(&[u8], &[u8], Option<Anchor>)],
+    ) -> Vec<EngineVerdict> {
+        let shapes: Vec<(usize, usize)> = pairs.iter().map(|p| (p.0.len(), p.1.len())).collect();
+        let mut out = vec![reject(0, 0, 0); pairs.len()];
+        for unit in self.plan_batch(mode, &shapes) {
+            let members: Vec<_> = unit.iter().map(|&k| pairs[k as usize]).collect();
+            for (&k, v) in unit.iter().zip(self.verify_group(mode, &members)) {
+                out[k as usize] = v;
+            }
+        }
+        out
+    }
+
+    /// Verify `pairs` (normally one [`Self::plan_batch`] unit) with the
+    /// thread-local scratch arena, returning verdicts in input order. Pairs
+    /// the lockstep kernel takes are packed, in order, into lane groups and
+    /// filled together; every verdict is the reference criterion's:
+    ///
+    /// * a lane whose optimum is 0, below the κ screen threshold, or too
+    ///   close to the sequence starts to reach the coverage cutoff rejects
+    ///   at tier 1, as on the per-pair path (`m·n` cells computed and
+    ///   skipped);
+    /// * any other lane traces back over its direction bytes — the
+    ///   reference alignment — and is judged at tier 3 (`m·n` computed,
+    ///   none skipped). Padding is never counted.
+    ///
+    /// Length-screened pairs, pairs that fail the i16 eligibility guard,
+    /// and a lane group left with a single pair go through the per-pair
+    /// tiers, as does everything on the reference engine.
+    pub fn verify_group(
+        &self,
+        mode: Criterion,
+        pairs: &[(&[u8], &[u8], Option<Anchor>)],
+    ) -> Vec<EngineVerdict> {
+        SCRATCH.with(|s| self.verify_group_with(mode, pairs, &mut s.borrow_mut()))
+    }
+
+    fn verify_group_with(
+        &self,
+        mode: Criterion,
+        pairs: &[(&[u8], &[u8], Option<Anchor>)],
+        scratch: &mut AlignScratch,
+    ) -> Vec<EngineVerdict> {
+        let mut out = vec![reject(0, 0, 0); pairs.len()];
+        let mut lock = Vec::new();
+        for (k, &(x, y, anchor)) in pairs.iter().enumerate() {
+            if self.takes_lockstep(mode, x.len(), y.len()) {
+                lock.push(k);
+            } else {
+                out[k] = self.run(x, y, anchor, scratch, mode);
+            }
+        }
+        for group in self.pack_groups(&lock, |k| (pairs[k].0.len(), pairs[k].1.len())) {
+            if let [k] = group[..] {
+                out[k] = self.run(pairs[k].0, pairs[k].1, pairs[k].2, scratch, mode);
+                continue;
+            }
+            let mut xy: [(&[u8], &[u8]); MAX_LANES] = [(&[], &[]); MAX_LANES];
+            for (slot, &k) in xy.iter_mut().zip(&group) {
+                *slot = (pairs[k].0, pairs[k].1);
+            }
+            let xy = &xy[..group.len()];
+            let ends = lockstep::fill(
+                self.lane,
+                xy,
+                &self.scheme,
+                &self.score_rows,
+                &mut scratch.lockstep,
+            );
+            for (lane, (&k, &(x, y))) in group.iter().zip(xy).enumerate() {
+                let (m, n) = (x.len(), y.len());
+                let full = m as u64 * n as u64;
+                let LaneEnd { best, bi, bj } = ends[lane];
+                let below =
+                    self.score_threshold(mode, m, n).is_some_and(|t| (best as f64) + 1e-9 < t);
+                out[k] = if best == 0 || below || self.end_screen_rejects(mode, m, n, bi, bj) {
+                    reject(1, full, full)
+                } else {
+                    let aln = lockstep::traceback(&scratch.lockstep, lane, ends[lane]);
+                    let st = aln.stats(x, y, &self.scheme.matrix);
+                    let accept = self.accepts(mode, &st, m, n);
+                    EngineVerdict { accept, tier: 3, cells_computed: full, cells_skipped: 0 }
+                };
+            }
+        }
+        out
+    }
+
+    /// Does an `m × n` pair go to the lockstep kernel? It must survive the
+    /// tier-0 screen, meet the i16 eligibility guard, and keep its lane
+    /// coordinates and rectangle within the kernel's bounds.
+    fn takes_lockstep(&self, mode: Criterion, m: usize, n: usize) -> bool {
+        self.kind == AlignEngineKind::Tiered
+            && !self.screen_rejects(mode, m, n)
+            && m.max(n) < i16::MAX as usize
+            && m * n <= MAX_GROUP_CELLS
+            && vector_eligible(&self.scheme, self.mat_max, self.mat_min, m, n)
+    }
+
+    /// Greedily cut `items` (in order) into lane groups: at most
+    /// [`Self::lanes`] pairs and a padded rectangle of at most
+    /// `MAX_GROUP_CELLS` cells each.
+    fn pack_groups<T: Copy>(
+        &self,
+        items: &[T],
+        shape: impl Fn(T) -> (usize, usize),
+    ) -> Vec<Vec<T>> {
+        let mut groups: Vec<Vec<T>> = Vec::new();
+        let (mut rows, mut cols) = (0usize, 0usize);
+        for &item in items {
+            let (m, n) = shape(item);
+            let open = groups.last().is_some_and(|g| {
+                g.len() < self.lanes() && rows.max(m) * cols.max(n) <= MAX_GROUP_CELLS
+            });
+            if open {
+                rows = rows.max(m);
+                cols = cols.max(n);
+                groups.last_mut().expect("an open group exists").push(item);
+            } else {
+                (rows, cols) = (m, n);
+                groups.push(vec![item]);
+            }
+        }
+        groups
     }
 
     fn run(
@@ -321,37 +531,24 @@ impl AlignEngine {
         y: &[u8],
         anchor: Option<Anchor>,
         scratch: &mut AlignScratch,
-        mode: Mode,
+        mode: Criterion,
     ) -> EngineVerdict {
         let (m, n) = (x.len(), y.len());
         let full = m as u64 * n as u64;
         if self.kind == AlignEngineKind::Reference {
             let accept = match mode {
-                Mode::Containment => is_contained(x, y, &self.scheme, &self.containment),
-                Mode::Overlap => overlaps(x, y, &self.scheme, &self.overlap),
+                Criterion::Containment => is_contained(x, y, &self.scheme, &self.containment),
+                Criterion::Overlap => overlaps(x, y, &self.scheme, &self.overlap),
             };
             return EngineVerdict { accept, tier: 3, cells_computed: full, cells_skipped: 0 };
         }
 
         // Tier 0: proven length screens (and the criteria's empty-input
         // rejections, which they apply before any DP).
-        if m == 0 || n == 0 {
+        if self.screen_rejects(mode, m, n) {
             return reject(0, 0, full);
         }
-        let (ms, mc) = match mode {
-            Mode::Containment => (self.containment.min_similarity, self.containment.min_coverage),
-            Mode::Overlap => (self.overlap.min_similarity, self.overlap.min_longer_coverage),
-        };
-        let short = m.min(n) as f64;
-        let floor = match mode {
-            // positives ≤ min(m,n) and accept ⇒ positives ≥ ms·mc·m.
-            Mode::Containment => ms * mc * m as f64,
-            // accept ⇒ positives ≥ ms·mc·max(m,n).
-            Mode::Overlap => ms * mc * m.max(n) as f64,
-        };
-        if short + 1e-9 < floor {
-            return reject(0, 0, full);
-        }
+        let (ms, mc) = self.cutoffs(mode);
 
         // Score threshold every accepted pair provably clears (None when the
         // scheme admits no positive κ — e.g. overlap at default parameters).
@@ -367,14 +564,14 @@ impl AlignEngine {
                     // Promotion pays off only when the subrectangle would
                     // not be much smaller than the full matrix, i.e. the
                     // sequences have similar lengths.
-                    Mode::Containment => {
+                    Criterion::Containment => {
                         if 4 * m.min(n) >= 3 * m.max(n) {
                             threshold.unwrap_or(1.0).max(1.0)
                         } else {
                             f64::INFINITY
                         }
                     }
-                    Mode::Overlap => {
+                    Criterion::Overlap => {
                         (self.p_min.unwrap_or(1) as f64 * ms * mc * m.max(n) as f64).max(1.0)
                     }
                 };
@@ -424,6 +621,9 @@ impl AlignEngine {
                 return reject(1, computed, full);
             }
         }
+        if self.end_screen_rejects(mode, m, n, bi, bj) {
+            return reject(1, computed, full);
+        }
 
         // Tier 3: full-precision DP on the prefix subrectangle that contains
         // the reference optimum and traceback.
@@ -431,31 +631,76 @@ impl AlignEngine {
         let aln = self.local_affine_exact(&x[..bi], &y[..bj], scratch);
         debug_assert_eq!(aln.score, s, "subrectangle DP must reproduce the kernel score");
         let st = aln.stats(&x[..bi], &y[..bj], &self.scheme.matrix);
-        let accept = match mode {
-            Mode::Containment => {
-                st.similarity() >= self.containment.min_similarity
-                    && st.coverage_of(st.x_span, m) >= self.containment.min_coverage
-            }
-            Mode::Overlap => {
-                let (long_span, long_len) = if m >= n { (st.x_span, m) } else { (st.y_span, n) };
-                st.similarity() >= self.overlap.min_similarity
-                    && st.coverage_of(long_span, long_len) >= self.overlap.min_longer_coverage
-            }
-        };
+        let accept = self.accepts(mode, &st, m, n);
         EngineVerdict { accept, tier: 3, cells_computed: computed + sub, cells_skipped: full - sub }
+    }
+
+    /// `(min_similarity, coverage cutoff)` of `mode`'s criterion.
+    fn cutoffs(&self, mode: Criterion) -> (f64, f64) {
+        match mode {
+            Criterion::Containment => {
+                (self.containment.min_similarity, self.containment.min_coverage)
+            }
+            Criterion::Overlap => (self.overlap.min_similarity, self.overlap.min_longer_coverage),
+        }
+    }
+
+    /// Tier 0: does a proven length bound (or an empty input) reject an
+    /// `m × n` pair before any DP?
+    fn screen_rejects(&self, mode: Criterion, m: usize, n: usize) -> bool {
+        if m == 0 || n == 0 {
+            return true;
+        }
+        let (ms, mc) = self.cutoffs(mode);
+        let floor = match mode {
+            // positives ≤ min(m,n) and accept ⇒ positives ≥ ms·mc·m.
+            Criterion::Containment => ms * mc * m as f64,
+            // accept ⇒ positives ≥ ms·mc·max(m,n).
+            Criterion::Overlap => ms * mc * m.max(n) as f64,
+        };
+        (m.min(n) as f64) + 1e-9 < floor
+    }
+
+    /// Tier 1, from the optimum's cell: the reference alignment ends at
+    /// `(i*, j*)`, so it spans at most `i*` residues of `x` and `j*` of
+    /// `y`. Rejects when that bound already misses the coverage cutoff.
+    fn end_screen_rejects(
+        &self,
+        mode: Criterion,
+        m: usize,
+        n: usize,
+        bi: usize,
+        bj: usize,
+    ) -> bool {
+        let (_, mc) = self.cutoffs(mode);
+        let (span, len) = match mode {
+            Criterion::Containment => (bi, m),
+            Criterion::Overlap if m >= n => (bi, m),
+            Criterion::Overlap => (bj, n),
+        };
+        (span as f64 / len as f64) < mc
+    }
+
+    /// The reference criterion applied to the statistics of the reference
+    /// alignment of an `m × n` pair (coverage against the full lengths).
+    fn accepts(&self, mode: Criterion, st: &AlignStats, m: usize, n: usize) -> bool {
+        let (ms, mc) = self.cutoffs(mode);
+        let (span, len) = match mode {
+            Criterion::Containment => (st.x_span, m),
+            Criterion::Overlap if m >= n => (st.x_span, m),
+            Criterion::Overlap => (st.y_span, n),
+        };
+        st.similarity() >= ms && st.coverage_of(span, len) >= mc
     }
 
     /// `κ·mc·L` screen threshold: every accepted pair has `S* ≥` this.
     /// `None` when `κ ≤ 0` (the screen would be vacuous).
-    fn score_threshold(&self, mode: Mode, m: usize, n: usize) -> Option<f64> {
+    fn score_threshold(&self, mode: Criterion, m: usize, n: usize) -> Option<f64> {
         let p_min = self.p_min? as f64;
-        let (ms, mc, l) = match mode {
-            Mode::Containment => {
-                (self.containment.min_similarity, self.containment.min_coverage, m)
-            }
-            Mode::Overlap => {
-                (self.overlap.min_similarity, self.overlap.min_longer_coverage, m.max(n))
-            }
+        let (ms, mc) = self.cutoffs(mode);
+        let l = match mode {
+            Criterion::Containment => m,
+            Criterion::Overlap => m.max(n),
         };
         let kappa = ms * p_min - (1.0 - ms) * self.q_max as f64;
         if kappa > 0.0 {
@@ -469,24 +714,13 @@ impl AlignEngine {
     /// resolution after promotion) — verdict-identical: the alignment it
     /// evaluates is bit-for-bit the reference one (see
     /// [`Self::local_affine_exact`]).
-    fn full_check(&self, x: &[u8], y: &[u8], scratch: &mut AlignScratch, mode: Mode) -> bool {
+    fn full_check(&self, x: &[u8], y: &[u8], scratch: &mut AlignScratch, mode: Criterion) -> bool {
         let aln = self.local_affine_exact(x, y, scratch);
         if aln.is_empty() {
             return false;
         }
         let st = aln.stats(x, y, &self.scheme.matrix);
-        match mode {
-            Mode::Containment => {
-                st.similarity() >= self.containment.min_similarity
-                    && st.coverage_of(st.x_span, x.len()) >= self.containment.min_coverage
-            }
-            Mode::Overlap => {
-                let (long_span, long_len) =
-                    if x.len() >= y.len() { (st.x_span, x.len()) } else { (st.y_span, y.len()) };
-                st.similarity() >= self.overlap.min_similarity
-                    && st.coverage_of(long_span, long_len) >= self.overlap.min_longer_coverage
-            }
-        }
+        self.accepts(mode, &st, x.len(), y.len())
     }
 
     /// Gap-free x-drop extension of the anchor along its diagonal. The
@@ -654,10 +888,27 @@ impl AlignEngine {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
+/// Which acceptance test a verification applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Criterion {
+    /// Definition 1: is `x` contained in `y` ([`is_contained`])?
     Containment,
+    /// Definition 2: do `x` and `y` overlap ([`overlaps`])?
     Overlap,
+}
+
+/// Interleave the bits of `(m, n)` (each below 2¹⁶): sorting by this key
+/// walks shapes along a Z-order curve, so neighbours are close in both
+/// dimensions.
+fn z_order((m, n): (usize, usize)) -> u32 {
+    fn spread(v: usize) -> u32 {
+        let mut v = v as u32 & 0xFFFF;
+        v = (v | v << 8) & 0x00FF_00FF;
+        v = (v | v << 4) & 0x0F0F_0F0F;
+        v = (v | v << 2) & 0x3333_3333;
+        (v | v << 1) & 0x5555_5555
+    }
+    spread(m) << 1 | spread(n)
 }
 
 #[inline]
@@ -756,6 +1007,21 @@ pub fn local_score_ends(
         OverlapParams::default(),
     );
     engine.score_ends(x, y, scratch)
+}
+
+/// Every lockstep lane kernel available on this host (for
+/// [`AlignEngine::with_lane_kernel`]): `portable` always, `sse2` on
+/// x86_64, `avx2` when detected.
+pub fn available_lane_kernels() -> Vec<&'static str> {
+    let mut v = vec!["portable"];
+    #[cfg(target_arch = "x86_64")]
+    {
+        v.push("sse2");
+        if std::arch::is_x86_feature_detected!("avx2") {
+            v.push("avx2");
+        }
+    }
+    v
 }
 
 /// Signature shared by all public kernel entry points.

@@ -19,7 +19,10 @@
 //! * [`engine`] — the tiered, vectorized alignment engine the clustering
 //!   hot path goes through: length screens, a SWAR/SSE2/AVX2 score-only
 //!   kernel, anchor-seeded banded probes, and a subrectangle traceback —
-//!   verdict-identical to [`criteria`] by construction.
+//!   verdict-identical to [`criteria`] by construction. Batches go
+//!   through its lockstep inter-pair kernel, which packs up to sixteen
+//!   length-binned pairs into i16 SIMD lanes
+//!   ([`AlignEngine::plan_batch`] / [`AlignEngine::verify_group`]).
 //! * [`cost`] — the online per-pair cost predictor (`m·n` scaled by the
 //!   engine's observed tier-escape rate) that cost-aware schedulers pack
 //!   and steal by.
@@ -35,6 +38,7 @@ pub mod extend;
 pub mod global;
 pub mod hirschberg;
 pub mod local;
+mod lockstep;
 pub mod msa;
 pub mod render;
 pub mod semiglobal;
@@ -43,7 +47,7 @@ pub use alignment::{AlignOp, AlignStats, Alignment};
 pub use banded::banded_global_affine;
 pub use cost::CostModel;
 pub use criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
-pub use engine::{AlignEngine, AlignEngineKind, AlignScratch, Anchor, EngineVerdict};
+pub use engine::{AlignEngine, AlignEngineKind, AlignScratch, Anchor, Criterion, EngineVerdict};
 pub use extend::{xdrop_extend, Extension};
 pub use global::{
     global_affine, global_affine_with, global_linear, global_score, global_score_with,

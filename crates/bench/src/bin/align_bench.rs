@@ -1,7 +1,9 @@
 //! Alignment-engine benchmark: reference full-matrix verdicts vs the
-//! tiered engine on the RR (containment) and CCD (overlap) candidate
-//! streams of a paper-like workload, emitting a machine-readable
-//! `BENCH_align.json` — the alignment twin of `BENCH_index.json`.
+//! tiered engine (one pair at a time) and vs its lockstep batch path
+//! (length-binned lane groups, as `Verifier` runs them) on the RR
+//! (containment) and CCD (overlap) candidate streams of a paper-like
+//! workload, emitting a machine-readable `BENCH_align.json` — the
+//! alignment twin of `BENCH_index.json`.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin align_bench [scale]
@@ -10,9 +12,10 @@
 //!
 //! `--test` runs a tiny single-rep smoke pass and prints the JSON to
 //! stdout instead of writing the file. The bench asserts — and records —
-//! that both engines return identical verdicts on every candidate.
+//! that the tiered engine and the lockstep path both return the reference
+//! verdict on every candidate.
 
-use pfam_align::{AlignEngine, AlignEngineKind, AlignScratch, Anchor};
+use pfam_align::{AlignEngine, AlignEngineKind, AlignScratch, Anchor, Criterion};
 use pfam_bench::{
     claim_f64, cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs,
 };
@@ -61,6 +64,34 @@ fn run_tasks(
         skipped += v.cells_skipped;
     }
     (verdicts, tiers, computed, skipped)
+}
+
+/// Run every task through `engine`'s batch path in batches of `batch`
+/// tasks of one criterion (as the RR and CCD loops hand them to the
+/// `Verifier`), returning `(verdicts, cells_computed, cells_skipped)`.
+fn run_batched(
+    engine: &AlignEngine,
+    set: &SequenceSet,
+    tasks: &[Task],
+    batch: usize,
+) -> (Vec<bool>, u64, u64) {
+    let mut verdicts = Vec::with_capacity(tasks.len());
+    let (mut computed, mut skipped) = (0u64, 0u64);
+    for chunk in tasks.chunk_by(|a, b| a.3 == b.3) {
+        let mode = if chunk[0].3 { Criterion::Containment } else { Criterion::Overlap };
+        for part in chunk.chunks(batch) {
+            let pairs: Vec<_> = part
+                .iter()
+                .map(|&(a, b, anchor, _)| (set.codes(a), set.codes(b), Some(anchor)))
+                .collect();
+            for v in engine.verify_batch(mode, &pairs) {
+                verdicts.push(v.accept);
+                computed += v.cells_computed;
+                skipped += v.cells_skipped;
+            }
+        }
+    }
+    (verdicts, computed, skipped)
 }
 
 fn main() {
@@ -131,9 +162,14 @@ fn main() {
     let (tier_s, (tier_verdicts, tiers, tier_computed, tier_skipped)) =
         time_min(reps, || run_tasks(&tiered, set, &tasks));
 
+    let (lock_s, (lock_verdicts, lock_computed, lock_skipped)) =
+        time_min(reps, || run_batched(&tiered, set, &tasks, config.batch_size));
+
     // Bit-identity of verdicts — the whole point of the tier design.
     let identical = ref_verdicts == tier_verdicts;
     assert!(identical, "tiered verdicts diverged from reference — this is a bug");
+    let lock_identical = ref_verdicts == lock_verdicts;
+    assert!(lock_identical, "lockstep verdicts diverged from reference — this is a bug");
 
     let n = tasks.len() as f64;
     let cores = detected_cores();
@@ -153,6 +189,7 @@ fn main() {
             "  \"outputs_identical\": {identical},\n",
             "  \"reference\": {{ \"seconds\": {rs:.6}, \"cells_per_sec\": {rcps:.0}, \"cells_computed\": {rcc} }},\n",
             "  \"tiered\": {{ \"seconds\": {ts:.6}, \"cells_per_sec\": {tcps:.0}, \"cells_computed\": {tcc}, \"cells_skipped\": {tsk} }},\n",
+            "  \"lockstep\": {{ \"lanes\": {lanes}, \"batch\": {batch}, \"seconds\": {ls:.6}, \"cells_per_sec\": {lcps:.0}, \"cells_computed\": {lcc}, \"cells_skipped\": {lsk}, \"outputs_identical\": {lock_identical} }},\n",
             "  \"tier_hit_rates\": {{ \"screen\": {t0:.4}, \"kernel_reject\": {t1:.4}, \"probe_accept\": {t2:.4}, \"full_dp\": {t3:.4} }},\n",
             "  {speedup}\n",
             "}}\n"
@@ -174,6 +211,13 @@ fn main() {
         tcps = total_cells as f64 / tier_s,
         tcc = tier_computed,
         tsk = tier_skipped,
+        lanes = tiered.lanes(),
+        batch = config.batch_size,
+        ls = lock_s,
+        lcps = total_cells as f64 / lock_s,
+        lcc = lock_computed,
+        lsk = lock_skipped,
+        lock_identical = lock_identical,
         t0 = tiers[0] as f64 / n,
         t1 = tiers[1] as f64 / n,
         t2 = tiers[2] as f64 / n,
@@ -184,8 +228,9 @@ fn main() {
     );
 
     eprintln!(
-        "align_bench: {:.2}x cells/sec vs reference, kernel {}",
+        "align_bench: tiered {:.2}x and lockstep {:.2}x cells/sec vs reference, kernel {}",
         ref_s / tier_s,
+        ref_s / lock_s,
         tiered.kernel_label()
     );
     emit("align", &json, args.smoke);

@@ -7,6 +7,7 @@ use pfam_seq::complexity::MaskParams;
 use pfam_seq::{MemoryBudget, ScoringScheme};
 
 use crate::lsh::SketchParams;
+use crate::policy::{LeaseKnobs, REQUEST_TIMEOUT};
 
 /// Configuration shared by the RR and CCD phases.
 #[derive(Debug, Clone)]
@@ -205,18 +206,21 @@ pub struct RecoveryParams {
 }
 
 impl Default for RecoveryParams {
+    /// The lease and poll timings are the pull policy's own defaults
+    /// ([`LeaseKnobs::default`], [`REQUEST_TIMEOUT`]), defined once there.
     fn default() -> Self {
+        let lease = LeaseKnobs::default();
         RecoveryParams {
-            lease_timeout: std::time::Duration::from_millis(250),
-            poll_interval: std::time::Duration::from_millis(25),
+            lease_timeout: lease.lease_timeout,
+            poll_interval: REQUEST_TIMEOUT,
             retry_budget: 4,
             retry_seed: 0x5EED,
             retry_backoff: std::time::Duration::from_micros(50),
             max_respawns: 0,
             respawn_grace: std::time::Duration::from_secs(1),
-            speculate: false,
-            spec_min_wait: std::time::Duration::from_millis(40),
-            spec_slack: 2.0,
+            speculate: lease.speculate,
+            spec_min_wait: lease.spec_min_wait,
+            spec_slack: lease.spec_slack,
         }
     }
 }
@@ -324,6 +328,18 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recovery_defaults_are_the_pull_policys() {
+        let r = RecoveryParams::default();
+        let lease = LeaseKnobs::default();
+        assert_eq!(r.lease_timeout, crate::policy::LEASE_TIMEOUT);
+        assert_eq!(r.lease_timeout, lease.lease_timeout);
+        assert_eq!(r.poll_interval, REQUEST_TIMEOUT);
+        assert_eq!(r.speculate, lease.speculate);
+        assert_eq!(r.spec_min_wait, lease.spec_min_wait);
+        assert_eq!(r.spec_slack, lease.spec_slack);
+    }
 
     #[test]
     fn defaults_are_papers() {

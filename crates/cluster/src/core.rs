@@ -31,7 +31,7 @@
 //! public `run_*` entry point is a thin composition of those pieces; a new
 //! execution mode is one new trait impl, not a new driver.
 
-use pfam_align::Anchor;
+use pfam_align::{Anchor, Criterion};
 use pfam_graph::UnionFind;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
@@ -536,39 +536,82 @@ impl Verifier {
         Verifier { engine: config.engine(), phase }
     }
 
-    /// Verify one candidate. The residues come through
-    /// [`SeqStore::codes_cow`], so a paged store fetches exactly the two
-    /// sequences an alignment touches (the batch-fetch seam of the
-    /// out-of-core plane); the in-memory store borrows from its arena.
-    pub fn verdict(&self, set: &dyn SeqStore, c: &Candidate) -> Verdict {
-        let x = set.codes_cow(c.a);
-        let y = set.codes_cow(c.b);
-        let cells = (x.len() as u64) * (y.len() as u64);
-        let v = match self.phase {
-            CorePhase::Ccd => self.engine.overlaps(&x, &y, c.anchor),
-            CorePhase::Rr => self.engine.contained(&x, &y, c.anchor),
-        };
-        Verdict {
-            a: c.a.0,
-            b: c.b.0,
-            accept: v.accept,
-            cells,
-            cells_computed: v.cells_computed,
-            cells_skipped: v.cells_skipped,
+    /// Verify a candidate batch across the rayon pool. The engine bins
+    /// the batch into lane groups by pair shape
+    /// ([`pfam_align::AlignEngine::plan_batch`]); the pool runs whole
+    /// groups, and verdicts come back in candidate order.
+    pub fn verify_par(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Verdict> {
+        use rayon::prelude::*;
+        let units = self.plan(set, candidates);
+        let verdicts: Vec<Vec<Verdict>> =
+            units.par_iter().map(|unit| self.verify_unit(set, candidates, unit)).collect();
+        scatter(candidates.len(), &units, verdicts)
+    }
+
+    /// Verify a candidate batch on the calling thread (worker ranks), with
+    /// the same lane groups as [`Self::verify_par`].
+    pub fn verify_seq(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Verdict> {
+        let units = self.plan(set, candidates);
+        let verdicts: Vec<Vec<Verdict>> =
+            units.iter().map(|unit| self.verify_unit(set, candidates, unit)).collect();
+        scatter(candidates.len(), &units, verdicts)
+    }
+
+    fn criterion(&self) -> Criterion {
+        match self.phase {
+            CorePhase::Ccd => Criterion::Overlap,
+            CorePhase::Rr => Criterion::Containment,
         }
     }
 
-    /// Verify a candidate batch across the rayon pool (dispatch order is
-    /// preserved in the output).
-    pub fn verify_par(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Verdict> {
-        use rayon::prelude::*;
-        candidates.par_iter().map(|c| self.verdict(set, c)).collect()
+    /// The batch's dispatch units: lane groups, from lengths alone.
+    fn plan(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Vec<u32>> {
+        let shapes: Vec<(usize, usize)> =
+            candidates.iter().map(|c| (set.seq_len(c.a), set.seq_len(c.b))).collect();
+        self.engine.plan_batch(self.criterion(), &shapes)
     }
 
-    /// Verify a candidate batch sequentially (worker ranks).
-    pub fn verify_seq(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Verdict> {
-        candidates.iter().map(|c| self.verdict(set, c)).collect()
+    /// Verify one unit. The residues come through
+    /// [`SeqStore::codes_cow`], so a paged store fetches exactly the
+    /// sequences the unit's alignments touch (the batch-fetch seam of the
+    /// out-of-core plane); the in-memory store borrows from its arena.
+    fn verify_unit(
+        &self,
+        set: &dyn SeqStore,
+        candidates: &[Candidate],
+        unit: &[u32],
+    ) -> Vec<Verdict> {
+        let members: Vec<&Candidate> = unit.iter().map(|&k| &candidates[k as usize]).collect();
+        let codes: Vec<_> =
+            members.iter().map(|c| (set.codes_cow(c.a), set.codes_cow(c.b))).collect();
+        let pairs: Vec<_> =
+            codes.iter().zip(&members).map(|((x, y), c)| (&x[..], &y[..], c.anchor)).collect();
+        let verdicts = self.engine.verify_group(self.criterion(), &pairs);
+        members
+            .iter()
+            .zip(&pairs)
+            .zip(verdicts)
+            .map(|((c, (x, y, _)), v)| Verdict {
+                a: c.a.0,
+                b: c.b.0,
+                accept: v.accept,
+                cells: (x.len() as u64) * (y.len() as u64),
+                cells_computed: v.cells_computed,
+                cells_skipped: v.cells_skipped,
+            })
+            .collect()
     }
+}
+
+/// Put per-unit verdicts back in candidate order.
+fn scatter(n: usize, units: &[Vec<u32>], verdicts: Vec<Vec<Verdict>>) -> Vec<Verdict> {
+    let mut out: Vec<Option<Verdict>> = vec![None; n];
+    for (unit, vs) in units.iter().zip(verdicts) {
+        for (&k, v) in unit.iter().zip(vs) {
+            out[k as usize] = Some(v);
+        }
+    }
+    out.into_iter().map(|v| v.expect("every candidate belongs to one unit")).collect()
 }
 
 #[cfg(test)]

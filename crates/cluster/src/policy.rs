@@ -1155,12 +1155,14 @@ where
     }
 }
 
-/// Verify a wire-form candidate batch (anchor-free probes) sequentially.
+/// Verify a wire-form candidate batch (anchor-free probes) sequentially,
+/// through the same lane-group batch path as the push policies.
 fn verify_wire(verifier: &Verifier, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
-    candidates
+    let candidates: Vec<Candidate> = candidates
         .iter()
-        .map(|&(a, b)| verifier.verdict(set, &Candidate { a: SeqId(a), b: SeqId(b), anchor: None }))
-        .collect()
+        .map(|&(a, b)| Candidate { a: SeqId(a), b: SeqId(b), anchor: None })
+        .collect();
+    verifier.verify_seq(set, &candidates)
 }
 
 /// The worker half of the pull protocol with the default request

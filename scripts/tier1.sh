@@ -118,8 +118,10 @@ cargo test -q -p pfam-cluster --test partitioned_identity
 
 echo "== tier1: alignment-engine identity suites =="
 # The tiered engine must be verdict- and output-identical to the reference
-# criteria: kernel/property tests plus the end-to-end RR/CCD/SPMD/FT runs.
+# criteria: kernel/property tests, the lockstep batch path on every lane
+# kernel, plus the end-to-end RR/CCD/SPMD/FT runs.
 cargo test -q -p pfam-align --test engine_props
+cargo test -q -p pfam-align --test lockstep_props
 cargo test -q --test align_engine
 
 echo "== tier1: index_bench --test (smoke + identity check) =="
@@ -129,6 +131,10 @@ echo "== tier1: align_bench --test (smoke + verdict-identity check) =="
 ALIGN_SMOKE=$(cargo run --release -p pfam-bench --bin align_bench -- --test)
 echo "$ALIGN_SMOKE" | grep -q '"outputs_identical": true' || {
     echo "tier1 FAIL: align_bench smoke did not report identical outputs" >&2
+    exit 1
+}
+echo "$ALIGN_SMOKE" | grep '"lockstep"' | grep -q '"outputs_identical": true' || {
+    echo "tier1 FAIL: align_bench smoke did not report identical lockstep outputs" >&2
     exit 1
 }
 
